@@ -18,6 +18,15 @@ entropy.
 
 ``optimize`` searches for a cheap code tree by recursively improving
 subtrees and cross-combining their branches whenever that lowers ``mu_u``.
+It costs code nodes from two vectors cached on each node, the restricted
+mass vector pm = p * 1[node] and the distance-mass profile prof = D @ pm,
+both sums of the children's.  A node's weighted cost is then one dot
+product, (m_L + m_R) * (pm_L @ prof_R) / (m_L * m_R), and the up to 15
+arrangements of up to four blocks are scored as scalars from the block
+cross weights pm_a @ prof_b; only the winning arrangement is built.  A side
+of zero mass is costed directly, with uniform weights.  ``mu_u``,
+``lambda_u`` and ``distance_code_lengths`` cost each node from the distance
+submatrix instead, an independent check on the search.
 """
 
 from __future__ import annotations
@@ -64,7 +73,7 @@ from . import sampling
 class CodeNode:
     """A node of a strictly binary code tree."""
 
-    __slots__ = ("letter", "left", "right", "leaves", "_idx", "_contrib", "_opt")
+    __slots__ = ("letter", "left", "right", "leaves", "_idx", "_vec", "_contrib", "_opt")
 
     def __init__(self, letter=None, left: "CodeNode" = None, right: "CodeNode" = None):
         self.letter = letter
@@ -77,6 +86,7 @@ class CodeNode:
         else:
             raise ValidationError("code nodes have zero or two children")
         self._idx = None
+        self._vec = None
         self._contrib = None
         self._opt = False
 
@@ -177,6 +187,19 @@ class _Ctx:
                 sorted(self.index[a] for a in nd.leaves), dtype=np.intp
             )
         return nd._idx
+
+    def vec(self, nd: CodeNode) -> np.ndarray:
+        """The rows pm = p * 1[leaves] and prof = D @ pm of a node, cached;
+        a parent's rows are the sums of its children's."""
+        if nd._vec is None:
+            if nd.is_leaf:
+                i = self.index[nd.letter]
+                nd._vec = np.zeros((2, len(self.p)))
+                nd._vec[0, i] = self.p[i]
+                nd._vec[1] = self.Dm[:, i] * self.p[i]
+            else:
+                nd._vec = self.vec(nd.left) + self.vec(nd.right)
+        return nd._vec
 
     def node_cost(self, nd: CodeNode) -> float:
         return _expected_distance(self.Dm, self.p, self.idx(nd.left), self.idx(nd.right))
@@ -368,7 +391,9 @@ def initial_code_tree(T: UltrametricTree, P: Distribution) -> CodeTree:
 
 def _contrib(nd: CodeNode, ctx: _Ctx) -> float:
     """Weighted cost of a subtree: P(A_c) * cost(c) summed over its internal
-    nodes.  Cached per node; nodes are never mutated after creation."""
+    nodes, each costed from the distance submatrix.  Cached per node; nodes
+    are never mutated after creation, and nodes the search builds arrive
+    with their cost already cached from the split costs."""
     if nd._contrib is None:
         if nd.is_leaf:
             nd._contrib = 0.0
@@ -381,9 +406,10 @@ def _contrib(nd: CodeNode, ctx: _Ctx) -> float:
     return nd._contrib
 
 
-def _arrangements(blocks: list) -> Iterator[CodeNode]:
-    """Every full binary tree over ``blocks`` (up to mirror symmetry, which
-    leaves the cost unchanged): 3 shapes for three blocks, 15 for four."""
+def _arrangements(blocks: list) -> Iterator[tuple]:
+    """Every full binary tree over ``blocks`` as nested pairs (up to mirror
+    symmetry, which leaves the cost unchanged): 3 shapes for three blocks,
+    15 for four."""
     if len(blocks) == 1:
         yield blocks[0]
         return
@@ -395,7 +421,91 @@ def _arrangements(blocks: list) -> Iterator[CodeNode]:
             right = [rest[i] for i in range(n) if i not in combo]
             for lt in _arrangements(left):
                 for rt in _arrangements(right):
-                    yield CodeNode(left=lt, right=rt)
+                    yield (lt, rt)
+
+
+def _mask(shape) -> int:
+    """Bit set of the block indices under a nested-pair shape."""
+    if isinstance(shape, tuple):
+        return _mask(shape[0]) | _mask(shape[1])
+    return 1 << shape
+
+
+class _Shapes:
+    """Arrangement tables for ``k`` blocks, in :func:`_arrangements` order.
+
+    A split is one internal node, the pair (left block set, right block set)
+    as bit masks; ``X``/``Y`` hold each split's sides as 0/1 rows over the
+    blocks, and ``uses[s]`` lists the splits of shape ``s``."""
+
+    def __init__(self, k: int):
+        self.shapes = list(_arrangements(list(range(k))))
+        self.splits: dict[tuple[int, int], int] = {}
+        uses = []
+
+        def walk(sh) -> None:
+            if isinstance(sh, tuple):
+                split = (_mask(sh[0]), _mask(sh[1]))
+                used.append(self.splits.setdefault(split, len(self.splits)))
+                walk(sh[0])
+                walk(sh[1])
+
+        for sh in self.shapes:
+            used: list[int] = []
+            walk(sh)
+            uses.append(used)
+        # the unrearranged node: kl left blocks under one branch, the rest
+        # under the other
+        self.own = {}
+        for kl in (1, 2):
+            if 1 <= k - kl <= 2:
+                left = 0 if kl == 1 else (0, 1)
+                right = kl if k - kl == 1 else (kl, kl + 1)
+                self.own[kl] = self.shapes.index((left, right))
+        self.uses = np.array(uses, dtype=np.intp)
+        bits = np.array([1 << b for b in range(k)])
+        self.X = np.array([(x & bits) > 0 for x, _ in self.splits], dtype=float)
+        self.Y = np.array([(y & bits) > 0 for _, y in self.splits], dtype=float)
+
+
+_SHAPES = {k: _Shapes(k) for k in (3, 4)}
+
+
+def _split_costs(blocks: list[CodeNode], tab: _Shapes, ctx: _Ctx) -> np.ndarray:
+    """Weighted cost P(X u Y) * ExpDist(X, Y) of every split in ``tab``.
+
+    With block cross weights W[a, b] = pm_a @ prof_b, a split's cost is
+    (m_X + m_Y) * W(X, Y) / (m_X * m_Y); a side of zero mass falls back to
+    :func:`_expected_distance` and its uniform weights."""
+    V = np.stack([ctx.vec(b) for b in blocks])
+    W = V[:, 0] @ V[:, 1].T
+    m = V[:, 0].sum(axis=1)
+    mx, my = tab.X @ m, tab.Y @ m
+    w = ((tab.X @ W) * tab.Y).sum(axis=1)
+    if m.all():
+        return (mx + my) * (w / mx / my)
+    cost = np.empty(len(w))
+    for s, (xs, ys) in enumerate(zip(tab.X, tab.Y)):
+        if mx[s] > 0.0 and my[s] > 0.0:
+            cost[s] = (mx[s] + my[s]) * (w[s] / mx[s] / my[s])
+        else:
+            bi = np.sort(np.concatenate([ctx.idx(b) for b, x in zip(blocks, xs) if x]))
+            ci = np.sort(np.concatenate([ctx.idx(b) for b, y in zip(blocks, ys) if y]))
+            cost[s] = (mx[s] + my[s]) * _expected_distance(ctx.Dm, ctx.p, bi, ci)
+    return cost
+
+
+def _build(shape, blocks: list[CodeNode], tab: _Shapes, cost: np.ndarray) -> CodeNode:
+    """The code tree of one arrangement, each node's weighted cost cached
+    from the split costs."""
+    if not isinstance(shape, tuple):
+        return blocks[shape]
+    nd = CodeNode(
+        left=_build(shape[0], blocks, tab, cost), right=_build(shape[1], blocks, tab, cost)
+    )
+    s = tab.splits[_mask(shape[0]), _mask(shape[1])]
+    nd._contrib = float(cost[s]) + nd.left._contrib + nd.right._contrib
+    return nd
 
 
 def _optimize_node(
@@ -407,23 +517,31 @@ def _optimize_node(
     while True:
         L = _optimize_node(nd.left, ctx, guard, trace)
         R = _optimize_node(nd.right, ctx, guard, trace)
-        simple = CodeNode(left=L, right=R)
         blocks_l = [L] if L.is_leaf else [L.left, L.right]
         blocks_r = [R] if R.is_leaf else [R.left, R.right]
         blocks = blocks_l + blocks_r
-        if len(blocks) == 2:
-            simple._opt = True
-            return simple
-        base = _contrib(simple, ctx)
-        best = min(_arrangements(blocks), key=lambda c: _contrib(c, ctx))
+        if len(blocks) == 2:  # two leaves: L and R are nd's own children
+            nd._opt = True
+            return nd
+        tab = _SHAPES[len(blocks)]
+        cost = _split_costs(blocks, tab, ctx)
+        scores = cost[tab.uses].sum(axis=1)
+        inner = sum(_contrib(b, ctx) for b in blocks)
+        own = tab.own[len(blocks_l)]
+        base = inner + scores[own]
+        best = int(np.argmin(scores))
         eps = 1e-12 * max(1.0, abs(base))
-        if _contrib(best, ctx) < base - eps:
+        if inner + scores[best] < base - eps:
             guard.bump()
-            trace.rewrites.append((base, _contrib(best, ctx)))
-            nd = best
+            trace.rewrites.append((float(base), float(inner + scores[best])))
+            nd = _build(tab.shapes[best], blocks, tab, cost)
         else:
-            simple._opt = True
-            return simple
+            if L is not nd.left or R is not nd.right:
+                nd = CodeNode(left=L, right=R)
+                # the root split of the unrearranged shape is (L, R)
+                nd._contrib = float(cost[tab.uses[own, 0]]) + L._contrib + R._contrib
+            nd._opt = True
+            return nd
 
 
 def optimize(T: UltrametricTree, P: Distribution) -> CodeTree:

@@ -11,7 +11,6 @@ the structure-blind and structure-aware views can be compared per column.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -154,15 +153,8 @@ def conservation_score(
     if not (0.0 <= coverage_threshold <= 1.0):
         raise ValidationError("coverage_threshold must lie in [0, 1]")
 
-    cols = [aln.column(j) for j in range(aln.n_cols)]
-
-    def score(j_col):
-        j, col = j_col
-        return _score_column(col, T, gap_mode, coverage_threshold, j + 1, reduce_partition)
-
-    if len(cols) >= 64:
-        with ThreadPoolExecutor() as pool:
-            scores = list(pool.map(score, enumerate(cols)))
-    else:
-        scores = [score(jc) for jc in enumerate(cols)]
+    scores = [
+        _score_column(aln.column(j), T, gap_mode, coverage_threshold, j + 1, reduce_partition)
+        for j in range(aln.n_cols)
+    ]
     return ConservationReport(gap_mode, coverage_threshold, tuple(scores))

@@ -351,20 +351,20 @@ def band(T: UltrametricTree) -> UltrametricTree:
 
 
 def _subtree_masses(T: UltrametricTree, P: Distribution) -> dict[int, float]:
-    """Probability mass of every subtree, keyed by node id."""
+    """Probability mass of every subtree, keyed by node id.  Walks the
+    breadth-first order backwards, so children come before their parent
+    and deep (e.g. banded) trees need no recursion."""
     if P.alphabet != T.alphabet:
         raise ValidationError("distribution and tree use different alphabets")
+    order = [T.root]
+    for nd in order:  # grows while it is read: breadth-first
+        order.extend(nd.children)
     masses: dict[int, float] = {}
-
-    def walk(nd: TreeNode) -> float:
+    for nd in reversed(order):
         if nd.is_leaf:
-            w = P.p(nd.letter)
+            masses[id(nd)] = P.p(nd.letter)
         else:
-            w = math.fsum(walk(c) for c in nd.children)
-        masses[id(nd)] = w
-        return w
-
-    walk(T.root)
+            masses[id(nd)] = math.fsum([masses[id(c)] for c in nd.children])
     return masses
 
 

@@ -198,6 +198,81 @@ def lambda_recursive_ref(nd, dist, probs) -> float:
     return total
 
 
+class RefNode:
+    """A plain binary code node for :func:`optimize_ref`."""
+
+    def __init__(self, letter=None, left=None, right=None):
+        self.letter, self.left, self.right = letter, left, right
+        self.is_leaf = left is None
+        self.leaves = {letter} if self.is_leaf else left.leaves | right.leaves
+
+
+def ref_tree(nd) -> RefNode:
+    """Copy any node with ``is_leaf``/``letter``/``left``/``right``."""
+    if nd.is_leaf:
+        return RefNode(letter=nd.letter)
+    return RefNode(left=ref_tree(nd.left), right=ref_tree(nd.right))
+
+
+def ref_codewords(nd, word: str = "") -> dict:
+    if nd.is_leaf:
+        return {nd.letter: word}
+    return {**ref_codewords(nd.left, word + "0"), **ref_codewords(nd.right, word + "1")}
+
+
+def optimize_ref(root, dist, probs):
+    """The rewrite search of ``optimize`` built by brute force.
+
+    Starting from ``root``, each subtree is optimized, then every full binary
+    arrangement of the (up to four) grandchild blocks is built and costed
+    with :func:`mu_recursive_ref`; the first cheapest wins when it beats the
+    unrearranged node by more than 1e-12 relative, and the search restarts
+    from it.  Returns the optimized tree and the number of rewrites."""
+    done: dict = {}  # id -> node, for nodes already optimized
+    rewrites = 0
+
+    def cost(nd) -> float:
+        m = sum(probs[a] for a in nd.leaves)
+        if m <= 0.0:
+            return 0.0
+        return m * mu_recursive_ref(nd, dist, {a: probs[a] / m for a in nd.leaves})
+
+    def arrangements(blocks):
+        if len(blocks) == 1:
+            yield blocks[0]
+            return
+        first, rest = blocks[0], blocks[1:]
+        for k in range(len(rest)):
+            for combo in itertools.combinations(range(len(rest)), k):
+                left = [first] + [rest[i] for i in combo]
+                right = [rest[i] for i in range(len(rest)) if i not in combo]
+                for lt in arrangements(left):
+                    for rt in arrangements(right):
+                        yield RefNode(left=lt, right=rt)
+
+    def opt(nd):
+        nonlocal rewrites
+        if nd.is_leaf or id(nd) in done:
+            return nd
+        while True:
+            L, R = opt(nd.left), opt(nd.right)
+            simple = RefNode(left=L, right=R)
+            blocks = ([L] if L.is_leaf else [L.left, L.right]) + (
+                [R] if R.is_leaf else [R.left, R.right]
+            )
+            if len(blocks) > 2:
+                base = cost(simple)
+                best = min(arrangements(blocks), key=cost)
+                if cost(best) < base - 1e-12 * max(1.0, abs(base)):
+                    rewrites += 1
+                    nd = best
+                    continue
+            done[id(simple)] = simple
+            return simple
+
+    return opt(root), rewrites
+
+
 def huffman_expected_length(probs) -> float:
     """Expected codeword length of a Huffman code (classical optimum)."""
     if len(probs) == 1:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 
 from structent import (
@@ -12,8 +13,10 @@ from structent import (
     parse_distance_csv,
     parse_structure_json,
     structure_to_json,
+    tree_to_newick,
 )
 from structent.cli import main
+from structent.sampling import random_distribution, random_ultrametric_tree
 
 TWO_CLUSTER_NEWICK = "((a:0.1,b:0.1):0.4,(c:0.1,d:0.1):0.4);"
 
@@ -76,6 +79,22 @@ class TestHu:
         assert set(out["forms"]) == {"recursive", "nodewise", "arcwise", "bandwise"}
         for v in out["forms"].values():
             assert v == pytest.approx(1.2, abs=1e-9)
+
+    def test_forms_on_deep_banded_tree(self, capsys, tmp_path):
+        rng = np.random.default_rng(350)
+        T = random_ultrametric_tree(350, rng)
+        P = random_distribution(T.alphabet, rng)
+        (tmp_path / "t.nwk").write_text(tree_to_newick(T))
+        (tmp_path / "p.json").write_text(distribution_to_json(P))
+        code, out = run(
+            capsys,
+            ["hu", "--tree", str(tmp_path / "t.nwk"), "--probs", str(tmp_path / "p.json"),
+             "--forms"],
+        )
+        assert code == 0
+        assert out["n"] == 350
+        for v in out["forms"].values():
+            assert v == pytest.approx(out["H_U"], abs=1e-9)
 
     def test_structure_export(self, capsys, files):
         target = files["tmp"] / "banded.json"

@@ -300,6 +300,33 @@ class TestOptimize:
             assert got >= best - 1e-12
             assert got <= hu_arcwise(T, P) + GAP_BOUND + 1e-9
 
+    @staticmethod
+    def _check_against_search_oracle(T, P):
+        C, trace = optimize_with_trace(T, P)
+        D = tree_to_distance(T)
+        start = oracles.ref_tree(initial_code_tree(T, P).root)
+        ref, rewrites = oracles.optimize_ref(start, oracles.dist_dict(D), P.as_mapping())
+        assert C.codewords() == oracles.ref_codewords(ref)
+        assert len(trace.rewrites) == rewrites
+        assert trace.final == pytest.approx(mu_u(C, P, D), abs=1e-12)
+
+    def test_matches_brute_force_search(self):
+        rng = np.random.default_rng(73)
+        for _ in range(200):
+            T = random_ultrametric_tree(int(rng.integers(3, 31)), rng)
+            self._check_against_search_oracle(T, random_distribution(T.alphabet, rng))
+
+    def test_matches_brute_force_search_with_zero_mass_letters(self):
+        # exact zeros leave blocks and whole subtrees without mass, whose
+        # sides the search costs with uniform weights
+        rng = np.random.default_rng(74)
+        for _ in range(60):
+            n = int(rng.integers(3, 21))
+            T = random_ultrametric_tree(n, rng)
+            p = rng.dirichlet(np.ones(n)) * (rng.random(n) < 0.6)
+            p[int(rng.integers(n))] += 0.5
+            self._check_against_search_oracle(T, Distribution(T.alphabet, p / p.sum()))
+
     def test_hamming_result_between_huffman_and_entropy_plus_one(self):
         # with D = Hamming the cost is the classical expected length; the
         # rewrite search is a heuristic, so Huffman bounds it from below and

@@ -194,8 +194,6 @@ class TestReport:
         assert all(r[4] == "0" for r in rows)
 
     def test_wide_alignment_matches_columnwise_scoring(self):
-        # above 64 columns scoring fans out to a thread pool; the result must
-        # not depend on that
         letters = ["A", "V", "F", "S", "K", "D", "C", "W"]
         n_cols = 70
         row1 = "".join(letters[j % 8] for j in range(n_cols))
@@ -210,3 +208,26 @@ class TestReport:
             got = wide.columns[j]
             assert got.h_u == pytest.approx(expect.h_u, abs=1e-12)
             assert got.index == j + 1
+
+    def test_report_bytes_match_single_column_reports(self):
+        # every column is scored on its own: the report of a wide alignment
+        # is byte for byte the concatenation of one-column reports
+        letters = "AVFSKDCWLT-"
+        n_cols, rows = 90, 7
+        seqs = tuple(
+            "".join(letters[(3 * j + 5 * i + j * i) % len(letters)] for j in range(n_cols))
+            for i in range(rows)
+        )
+        aln = Alignment(tuple(f"r{i}" for i in range(rows)), seqs)
+        A = synthetic_aa_tree().alphabet
+        part = Partition(A, [("A", "V", "F", "S"), tuple(a for a in A.letters if a not in "AVFS")])
+        for gap_mode in ("skip", "extra-letter"):
+            T = synthetic_aa_tree(include_gap=gap_mode == "extra-letter")
+            kw = {"gap_mode": gap_mode}
+            if gap_mode == "skip":
+                kw["reduce_partition"] = part
+            wide = conservation_score(aln, T, **kw).to_csv().splitlines()
+            for j in range(n_cols):
+                single = Alignment(aln.names, tuple(s[j] for s in seqs))
+                row = conservation_score(single, T, **kw).to_csv().splitlines()[1]
+                assert wide[j + 1] == f"{j + 1}," + row.split(",", 1)[1]

@@ -231,6 +231,16 @@ class TestEntropyForms:
             assert -1e-12 <= hu <= entropy(P.probs) + 1e-9
 
 
+    def test_forms_agree_on_deep_banded_tree(self):
+        # banding adds a level per distinct internal height, so the banded
+        # tree of 350 random leaves is several hundred levels deep
+        rng = np.random.default_rng(350)
+        T = random_ultrametric_tree(350, rng)
+        P = random_distribution(T.alphabet, rng)
+        values = [form(T, P) for form in ALL_FORMS]
+        assert max(values) - min(values) <= 1e-12
+
+
 class TestBanding:
     def test_idempotent(self, three_leaf_tree):
         B1 = band(three_leaf_tree)
