@@ -61,7 +61,6 @@ from .errors import (
 from .notions import StructuredAlphabet, binary_entropy, h_s
 from .ultrametric import (
     DistanceMatrix,
-    TreeNode,
     UltrametricTree,
     hu_arcwise,
     set_distance,
@@ -334,17 +333,6 @@ class _RestartGuard:
             )
 
 
-def _binarize(nd: TreeNode, p_of: dict[Letter, float]) -> CodeNode:
-    """Turn an ultrametric tree node into a binary code node, pairing
-    multiway children by greedy probability balancing (deterministic:
-    heavier blocks first, ties broken by letter order)."""
-    while len(nd.children) == 1:  # skip pass-through chains
-        nd = nd.children[0]
-    if nd.is_leaf:
-        return CodeNode(letter=nd.letter)
-    return _pair_blocks([_binarize(c, p_of) for c in nd.children], p_of)
-
-
 def _block_key(b: CodeNode, p_of: dict[Letter, float]):
     mass = math.fsum(p_of[a] for a in b.leaves)
     return (-mass, sorted(map(repr, b.leaves))[0])
@@ -382,11 +370,20 @@ def code_tree_from_nesting(A: Alphabet, nesting) -> CodeTree:
 
 def initial_code_tree(T: UltrametricTree, P: Distribution) -> CodeTree:
     """The starting point for :func:`optimize`: the ultrametric tree itself,
-    with multiway nodes binarized by balanced-probability pairing."""
+    built bottom-up, with multiway nodes binarized by greedy probability
+    balancing (deterministic: heavier blocks first, ties broken by letter
+    order) and pass-through chains skipped."""
     if P.alphabet != T.alphabet:
         raise ValidationError("distribution and tree use different alphabets")
     p_of = P.as_mapping()
-    return CodeTree(T.alphabet, _binarize(T.root, p_of))
+
+    def binarize(i: int, blocks: list[CodeNode]) -> CodeNode:
+        # a pass-through node's one block is returned as it is
+        if not blocks:
+            return CodeNode(letter=T._nodes[i].letter)
+        return _pair_blocks(blocks, p_of)
+
+    return CodeTree(T.alphabet, T._fold(binarize))
 
 
 def _contrib(nd: CodeNode, ctx: _Ctx) -> float:

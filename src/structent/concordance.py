@@ -191,10 +191,6 @@ def state_distance_matrix(S: PartitionStructure) -> "DistanceMatrix":
     for s, m in S.items():
         if m <= 0.0:
             continue
-        comp = [s.component_of(a) for a in letters]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if comp[i] != comp[j]:
-                    out[i, j] += m
-                    out[j, i] += m
+        lab = np.array([s.component_of(a) for a in letters])
+        out += m * (lab[:, None] != lab[None, :])
     return DistanceMatrix(S.alphabet, out)

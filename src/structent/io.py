@@ -230,17 +230,15 @@ def tree_to_newick(T: UltrametricTree, lengths: str = "arc") -> str:
     if lengths not in ("arc", "L"):
         raise ValidationError("lengths must be 'arc' or 'L'")
     factor = 0.5 if lengths == "arc" else 1.0
+    h, parent = T._height, T._parent
 
-    def walk(nd: TreeNode, parent_height: Optional[float]) -> str:
-        if nd.is_leaf:
-            body = str(nd.letter)
-        else:
-            body = "(" + ",".join(walk(c, nd.height) for c in nd.children) + ")"
-        if parent_height is None:
+    def text(i: int, kids: list[str]) -> str:
+        body = "(" + ",".join(kids) + ")" if kids else str(T._nodes[i].letter)
+        if i == 0:
             return body
-        return f"{body}:{factor * (parent_height - nd.height):.12g}"
+        return f"{body}:{factor * (h[parent[i]] - h[i]):.12g}"
 
-    return walk(T.root, None) + ";"
+    return T._fold(text) + ";"
 
 
 # --------------------------------------------------------------- CSV/JSON

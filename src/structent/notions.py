@@ -157,8 +157,7 @@ class StructuredJoint:
 
 def h_s(X: StructuredAlphabet) -> float:
     """Structure entropy: sum over partitions of measure(s) * H(P reduced by s)."""
-    P = X.P
-    return math.fsum(m * entropy(reduced_probs(P, s)) for s, m in X.S.items() if m > 0.0)
+    return h_s_of(X.P, X.S)
 
 
 def h_s_of(P: Distribution, S) -> float:

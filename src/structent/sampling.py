@@ -109,13 +109,7 @@ def random_ultrametric_tree(
         scale = 1.0 / root.height
         for nd in internal:
             nd.height *= scale
-    # rebuild so leaf sets and validation run on the final heights
-    def rebuild(nd: TreeNode) -> TreeNode:
-        if nd.is_leaf:
-            return leaf(nd.letter)
-        return node(nd.height, [rebuild(c) for c in nd.children])
-
-    return UltrametricTree(A, rebuild(root))
+    return UltrametricTree(A, root)
 
 
 def random_code_shape(letters: list, rng: np.random.Generator):

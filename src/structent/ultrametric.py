@@ -12,8 +12,19 @@ four independent ways that provably agree:
 * ``hu_recursive``  - grouping recursion over the root split;
 * ``hu_nodewise``   - per-node terms P_i * height(i) * H(children of i);
 * ``hu_arcwise``    - per-arc terms -L_i * P_i * log2 P_i;
-* ``hu_bandwise``   - horizontal bands of the (banded) tree, each band
-  contributing its width times the entropy of its level partition.
+* ``hu_bandwise``   - horizontal bands of the tree, each band contributing
+  its width times the entropy of its level partition.
+
+Every tree keeps one flat array view of its nodes, built once by
+``UltrametricTree`` in the same pass that validates it.  Position 0 is the
+root and positions follow the preorder of ``nodes()``; each position has a
+parent position (-1 for the root), a height, its child positions in the
+children's own order, and a ``[lo, hi)`` range into one depth-first order of
+the leaves, so every subtree owns a contiguous run of letters.  The tree
+algorithms read this view: masses and rebuilds run bottom-up over reversed
+positions, ``tree_to_distance`` fills whole cross-child blocks, and bands
+are cut from level indices, so no algorithm recurses and none builds the
+banded copy of a tree.
 """
 
 from __future__ import annotations
@@ -132,7 +143,9 @@ class TreeNode:
         self.height = float(height)
         self.children = tuple(children)
         self.passthrough = passthrough
-        if self.children:
+        if len(self.children) == 1:  # frozensets are immutable: share it
+            self.leaves = self.children[0].leaves
+        elif self.children:
             self.leaves = frozenset().union(*(c.leaves for c in self.children))
         else:
             self.leaves = frozenset((letter,))
@@ -159,28 +172,35 @@ class UltrametricTree:
     """A rooted tree with equidistant leaves, identified with an ultrametric
     distance via height of the lowest common ancestor."""
 
-    __slots__ = ("alphabet", "root")
+    __slots__ = ("alphabet", "root", "_nodes", "_parent", "_height", "_kids", "_lo", "_hi", "_order")
 
     def __init__(self, alphabet: Alphabet, root: TreeNode):
         self.alphabet = alphabet
         self.root = root
-        self._validate()
-
-    def _validate(self) -> None:
+        index = alphabet._index
+        tol = HEIGHT_TOL * max(1.0, root.height)
+        nodes, parent, kids, lo, order = [], [], [], [], []
         seen: set = set()
-        scale = max(1.0, self.root.height)
-        tol = HEIGHT_TOL * scale
-
-        def walk(nd: TreeNode) -> None:
+        stack = [(root, -1)]
+        while stack:  # the preorder of nodes()
+            nd, p = stack.pop()
+            i = len(nodes)
+            nodes.append(nd)
+            parent.append(p)
+            kids.append([])
+            lo.append(len(order))
+            if p >= 0:
+                kids[p].append(i)
             if nd.is_leaf:
-                if nd.letter not in self.alphabet._index:
+                if nd.letter not in index:
                     raise ValidationError(f"leaf {nd.letter!r} not in alphabet")
                 if nd.letter in seen:
                     raise ValidationError(f"duplicate leaf {nd.letter!r}")
                 seen.add(nd.letter)
                 if abs(nd.height) > 1e-12:
                     raise ValidationError("leaves must have height 0")
-                return
+                order.append(index[nd.letter])
+                continue
             if len(nd.children) < 2 and not nd.passthrough:
                 raise ValidationError("internal nodes need at least two children")
             if nd.height < -1e-12:
@@ -190,11 +210,42 @@ class UltrametricTree:
                     raise ValidationError("child height exceeds parent height")
                 if not c.is_leaf and c.height >= nd.height - tol and nd.height > tol:
                     raise ValidationError("internal child must sit strictly below its parent")
-                walk(c)
-
-        walk(self.root)
-        if seen != set(self.alphabet.letters):
+                stack.append((c, i))
+        if len(seen) != len(alphabet):
             raise ValidationError("tree leaves must cover the alphabet exactly")
+        # the stack visits children last to first: reverse each child list,
+        # and a subtree's leaves end where its first child's leaves end
+        hi = [0] * len(nodes)
+        for i in reversed(range(len(nodes))):
+            kids[i].reverse()
+            hi[i] = hi[kids[i][0]] if kids[i] else lo[i] + 1
+        self._nodes = nodes
+        self._parent = parent
+        self._height = [nd.height for nd in nodes]
+        self._kids = kids
+        self._lo = lo
+        self._hi = hi
+        self._order = order
+
+    def _fold(self, f):
+        """Evaluate ``f(i, [results of i's children])`` at every position,
+        children first, and return the root's result."""
+        done: dict[int, object] = {}
+        for i in reversed(range(len(self._nodes))):
+            done[i] = f(i, [done.pop(c) for c in self._kids[i]])
+        return done[0]
+
+    def _masses(self, P: Distribution) -> list[float]:
+        """Probability mass of every subtree, by position; an internal mass
+        is the ``math.fsum`` of its children's."""
+        if P.alphabet != self.alphabet:
+            raise ValidationError("distribution and tree use different alphabets")
+        probs, order, lo, kids = P.probs, self._order, self._lo, self._kids
+        masses = [0.0] * len(kids)
+        for i in reversed(range(len(kids))):
+            k = kids[i]
+            masses[i] = math.fsum([masses[c] for c in k]) if k else probs[order[lo[i]]]
+        return masses
 
     @property
     def height(self) -> float:
@@ -205,13 +256,10 @@ class UltrametricTree:
         return abs(self.root.height - 1.0) <= HEIGHT_TOL
 
     def nodes(self) -> Iterator[tuple[TreeNode, Optional[TreeNode]]]:
-        """Preorder (node, parent) pairs."""
-        stack = [(self.root, None)]
-        while stack:
-            nd, par = stack.pop()
-            yield nd, par
-            for c in nd.children:
-                stack.append((c, nd))
+        """Preorder (node, parent) pairs, in the order of the array view."""
+        nodes = self._nodes
+        for nd, p in zip(nodes, self._parent):
+            yield nd, (nodes[p] if p >= 0 else None)
 
     def distance(self, a: Letter, b: Letter) -> float:
         if a == b:
@@ -228,14 +276,11 @@ class UltrametricTree:
         if factor <= 0.0:
             raise ValidationError("scale factor must be positive")
 
-        def walk(nd: TreeNode) -> TreeNode:
-            if nd.is_leaf:
-                return leaf(nd.letter)
-            out = node(nd.height * factor, [walk(c) for c in nd.children])
-            out.passthrough = nd.passthrough
-            return out
+        def copy(i: int, kids: list[TreeNode]) -> TreeNode:
+            nd = self._nodes[i]
+            return TreeNode(nd.letter, nd.height * factor if kids else 0.0, kids, nd.passthrough)
 
-        return UltrametricTree(self.alphabet, walk(self.root))
+        return UltrametricTree(self.alphabet, self._fold(copy))
 
     def normalized(self) -> "UltrametricTree":
         if self.root.height <= 0.0:
@@ -244,33 +289,35 @@ class UltrametricTree:
 
 
 def tree_to_distance(T: UltrametricTree) -> DistanceMatrix:
+    """The distance of a tree: each internal node's height fills the blocks
+    between its children's leaf ranges, in leaf order, then the rows and
+    columns are put back in alphabet order."""
     n = len(T.alphabet)
     m = np.zeros((n, n))
-    idx = T.alphabet.index_of
-
-    def walk(nd: TreeNode) -> None:
-        for i, ci in enumerate(nd.children):
-            for cj in nd.children[i + 1:]:
-                for a in ci.leaves:
-                    for b in cj.leaves:
-                        ia, ib = idx(a), idx(b)
-                        m[ia, ib] = m[ib, ia] = nd.height
-            walk(ci)
-
-    walk(T.root)
-    return DistanceMatrix(T.alphabet, m)
+    h, lo, hi = T._height, T._lo, T._hi
+    for i, kids in enumerate(T._kids):
+        for c in kids:
+            m[lo[c]:hi[c], lo[i]:lo[c]] = h[i]
+            m[lo[c]:hi[c], hi[c]:hi[i]] = h[i]
+    order = np.array(T._order, dtype=np.intp)
+    out = np.empty_like(m)
+    out[np.ix_(order, order)] = m
+    return DistanceMatrix(T.alphabet, out)
 
 
-def _distinct_levels(values: Iterable[float]) -> list[float]:
-    """Sorted distinct values, grouping anything closer than the tolerance."""
-    vals = sorted(float(v) for v in values)
-    levels: list[list[float]] = []
-    for v in vals:
-        if levels and v - levels[-1][0] <= HEIGHT_TOL * max(1.0, abs(v)):
-            levels[-1].append(v)
+def _distinct_levels(values: list[float]) -> tuple[list[float], list[int]]:
+    """Sorted distinct values, grouping anything closer than the tolerance
+    and taking each group's mean, with the level index of every value."""
+    groups: list[list[float]] = []
+    level = [0] * len(values)
+    for i in sorted(range(len(values)), key=values.__getitem__):
+        v = float(values[i])
+        if groups and v - groups[-1][0] <= HEIGHT_TOL * max(1.0, abs(v)):
+            groups[-1].append(v)
         else:
-            levels.append([v])
-    return [math.fsum(g) / len(g) for g in levels]
+            groups.append([v])
+        level[i] = len(groups) - 1
+    return [math.fsum(g) / len(g) for g in groups], level
 
 
 def tree_from_distance(D: DistanceMatrix, P: Optional[Distribution] = None) -> UltrametricTree:
@@ -291,7 +338,7 @@ def tree_from_distance(D: DistanceMatrix, P: Optional[Distribution] = None) -> U
         return UltrametricTree(A, leaf(A.letters[0]))
     m = D.matrix
     off = m[np.triu_indices(n, k=1)]
-    levels = _distinct_levels(off)
+    levels, _ = _distinct_levels(off.tolist())
     clusters: list[TreeNode] = [leaf(a) for a in A]
     reps: list[int] = list(range(n))  # matrix row representing each cluster
     for d in levels:
@@ -327,45 +374,17 @@ def tree_from_distance(D: DistanceMatrix, P: Optional[Distribution] = None) -> U
 def band(T: UltrametricTree) -> UltrametricTree:
     """Insert pass-through nodes so every internal height is realized on
     every root-to-leaf path.  Idempotent; entropy is unchanged."""
-    heights = _distinct_levels(
-        [nd.height for nd, _ in T.nodes() if not nd.is_leaf] + [0.0]
-    )
+    levels, lev = _distinct_levels(T._height)
 
-    def wrap(nd: TreeNode, parent_height: float) -> TreeNode:
-        out = rebuild(nd)
-        tol = HEIGHT_TOL * max(1.0, parent_height)
-        between = [h for h in heights if nd.height + tol < h < parent_height - tol]
-        for h in between:  # ascending
-            p = TreeNode(height=h, children=(out,), passthrough=True)
-            out = p
+    def wrap(i: int, kids: list[TreeNode]) -> TreeNode:
+        nd = T._nodes[i]
+        out = TreeNode(nd.letter, nd.height, kids, nd.passthrough)
+        if i:
+            for k in range(lev[i] + 1, lev[T._parent[i]]):  # ascending
+                out = TreeNode(height=levels[k], children=(out,), passthrough=True)
         return out
 
-    def rebuild(nd: TreeNode) -> TreeNode:
-        if nd.is_leaf:
-            return leaf(nd.letter)
-        out = node(nd.height, [wrap(c, nd.height) for c in nd.children])
-        out.passthrough = nd.passthrough
-        return out
-
-    return UltrametricTree(T.alphabet, rebuild(T.root))
-
-
-def _subtree_masses(T: UltrametricTree, P: Distribution) -> dict[int, float]:
-    """Probability mass of every subtree, keyed by node id.  Walks the
-    breadth-first order backwards, so children come before their parent
-    and deep (e.g. banded) trees need no recursion."""
-    if P.alphabet != T.alphabet:
-        raise ValidationError("distribution and tree use different alphabets")
-    order = [T.root]
-    for nd in order:  # grows while it is read: breadth-first
-        order.extend(nd.children)
-    masses: dict[int, float] = {}
-    for nd in reversed(order):
-        if nd.is_leaf:
-            masses[id(nd)] = P.p(nd.letter)
-        else:
-            masses[id(nd)] = math.fsum([masses[id(c)] for c in nd.children])
-    return masses
+    return UltrametricTree(T.alphabet, T._fold(wrap))
 
 
 def hu_recursive(T: UltrametricTree, P: Distribution) -> float:
@@ -375,89 +394,80 @@ def hu_recursive(T: UltrametricTree, P: Distribution) -> float:
     if P.alphabet != T.alphabet:
         raise ValidationError("distribution and tree use different alphabets")
 
-    def rec(nd: TreeNode) -> tuple[float, float]:
-        if nd.is_leaf:
-            return P.p(nd.letter), 0.0
-        parts = [rec(c) for c in nd.children]
+    def rec(i: int, parts: list[tuple[float, float]]) -> tuple[float, float]:
+        if not parts:
+            return P.probs[T._order[T._lo[i]]], 0.0
         mass = math.fsum(w for w, _ in parts)
         if mass <= 0.0:
             return 0.0, 0.0
         split = entropy(w / mass for w, _ in parts)
         inner = math.fsum((w / mass) * h for w, h in parts)
-        return mass, nd.height * split + inner
+        return mass, T._height[i] * split + inner
 
-    return rec(T.root)[1]
+    return T._fold(rec)[1]
 
 
 def hu_nodewise(T: UltrametricTree, P: Distribution) -> float:
     """Entropy as a sum over internal nodes:
     P(A_i) * height(i) * H(children of i | A_i)."""
-    masses = _subtree_masses(T, P)
+    masses = T._masses(P)
     total = 0.0
-    for nd, _ in T.nodes():
-        if nd.is_leaf:
-            continue
-        w = masses[id(nd)]
-        if w <= 0.0:
-            continue
-        total += w * nd.height * entropy(masses[id(c)] / w for c in nd.children)
+    for i, kids in enumerate(T._kids):
+        w = masses[i]
+        if kids and w > 0.0:
+            total += w * T._height[i] * entropy(masses[c] / w for c in kids)
     return total
 
 
 def hu_arcwise(T: UltrametricTree, P: Distribution) -> float:
     """Entropy as a sum over arcs: -L_i * P(A_i) * log2 P(A_i), where L_i is
     the height drop from the parent to node i."""
-    masses = _subtree_masses(T, P)
+    masses = T._masses(P)
+    h, parent = T._height, T._parent
     total = 0.0
-    for nd, parent in T.nodes():
-        if parent is None:
-            continue
-        w = masses[id(nd)]
+    for i in range(1, len(masses)):
+        w = masses[i]
         if 0.0 < w < 1.0:
-            total += (parent.height - nd.height) * (-w * math.log2(w))
+            total += (h[parent[i]] - h[i]) * (-w * math.log2(w))
     return total
 
 
 def hu_bandwise(T: UltrametricTree, P: Distribution) -> float:
-    """Entropy as a sum over horizontal bands of the banded tree: each band
+    """Entropy as a sum over horizontal bands of the tree: each band
     contributes its width times the entropy of the partition of the alphabet
     realized at its floor."""
-    if P.alphabet != T.alphabet:
-        raise ValidationError("distribution and tree use different alphabets")
-    B = band(T)
-    masses = _subtree_masses(B, P)
+    masses = T._masses(P)
     return math.fsum(
-        gap * entropy(masses[id(nd)] for nd in nds) for gap, nds in _bands_from(B)
+        width * entropy(masses[i] for i in floor) for width, floor in _bands_from(T)
     )
 
 
-def _bands_from(B: UltrametricTree) -> list[tuple[float, list[TreeNode]]]:
-    """Horizontal bands of a banded tree as (width, floor nodes) pairs.
+def _bands_from(T: UltrametricTree) -> list[tuple[float, list[int]]]:
+    """Horizontal bands of a tree as (width, floor positions) pairs, lowest
+    band first.
 
-    Each band spans two consecutive realized heights; its floor nodes are
-    the nodes at the lower height whose parent sits strictly above, and
-    their leaf sets partition the alphabet.
+    The tree is cut at each distinct height level.  The floor nodes of the
+    band above level k are the nodes at or below level k whose parent lies
+    above it, in preorder; their leaf sets partition the alphabet.  The
+    width is the drop along the first floor node's arc, from its parent or
+    from level k + 1 if the arc passes it, down to the node or to level k if
+    the node lies lower: the arc of the banded tree's first floor node.
     """
-    floors: dict[int, tuple[float, list[TreeNode]]] = {}
-    heights = _distinct_levels([nd.height for nd, _ in B.nodes()])
-
-    def level_of(h: float) -> int:
-        for k, v in enumerate(heights):
-            if abs(h - v) <= HEIGHT_TOL * max(1.0, abs(v)):
-                return k
-        raise AssertionError("height missing from level table")
-
-    for nd, parent in B.nodes():
-        if parent is None:
-            continue
-        gap = parent.height - nd.height
-        if gap <= HEIGHT_TOL * max(1.0, parent.height):
-            continue
-        k = level_of(nd.height)
-        if k not in floors:
-            floors[k] = (gap, [])
-        floors[k][1].append(nd)
-    return [floors[k] for k in sorted(floors)]
+    levels, lev = _distinct_levels(T._height)
+    h, parent = T._height, T._parent
+    floors: list[list[int]] = [[] for _ in levels]
+    for i in range(1, len(h)):
+        for k in range(lev[i], lev[parent[i]]):
+            floors[k].append(i)
+    bands = []
+    for k, floor in enumerate(floors):
+        if floor:
+            i = floor[0]
+            p = parent[i]
+            top = h[p] if lev[p] == k + 1 else levels[k + 1]
+            bottom = h[i] if lev[i] == k else levels[k]
+            bands.append((top - bottom, floor))
+    return bands
 
 
 def to_partition_structure(T: UltrametricTree) -> PartitionStructure:
@@ -471,11 +481,10 @@ def to_partition_structure(T: UltrametricTree) -> PartitionStructure:
         raise NotNormalized("tree root height must be 1")
     if len(T.alphabet) < 2:
         raise TooFewLetters("need at least two letters to form partitions")
-    B = band(T)
-    items = []
-    for gap, nds in _bands_from(B):
-        s = Partition(T.alphabet, [nd.leaves for nd in nds])
-        items.append((s, gap))
+    items = [
+        (Partition(T.alphabet, [T._nodes[i].leaves for i in floor]), width)
+        for width, floor in _bands_from(T)
+    ]
     return PartitionStructure(T.alphabet, items)
 
 

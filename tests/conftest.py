@@ -15,6 +15,7 @@ from structent import (
     leaf,
     node,
 )
+from structent.sampling import default_letters
 
 
 @pytest.fixture
@@ -74,3 +75,19 @@ def three_leaf_tree() -> UltrametricTree:
 @pytest.fixture
 def three_leaf_probs(three_leaf_tree) -> Distribution:
     return Distribution(three_leaf_tree.alphabet, (0.5, 0.25, 0.25))
+
+
+@pytest.fixture
+def caterpillar():
+    """Builds the deepest tree on n >= 2 leaves: letter k of
+    ``default_letters(n)`` joins the chain at height k / (n - 1), so the
+    distance between letters i != j is max(i, j) / (n - 1)."""
+
+    def build(n: int) -> UltrametricTree:
+        A = default_letters(n)
+        nd = leaf(A.letters[0])
+        for k in range(1, n):
+            nd = node(k / (n - 1), [nd, leaf(A.letters[k])])
+        return UltrametricTree(A, nd)
+
+    return build

@@ -344,6 +344,14 @@ class TestOptimize:
             assert got >= huff - 1e-9
             assert got <= entropy(P.probs) + 1.0 + 1e-9
 
+    def test_optimize_deep_caterpillar(self, caterpillar):
+        # 700 levels: building the starting code tree must not recurse per level
+        T = caterpillar(700)
+        P = random_distribution(T.alphabet, np.random.default_rng(700))
+        C = optimize(T, P)
+        assert set(C.codewords()) == set(T.alphabet.letters)
+        assert hu_arcwise(T, P) <= mu_u(C, P, tree_to_distance(T)) + 1e-12
+
 
 class TestBoundTrials:
     def test_deterministic_replay(self, tmp_path):

@@ -310,6 +310,16 @@ class TestStateDistance:
                 expected, abs=1e-9
             )
 
+    def test_matrix_equals_oracle_exactly(self):
+        # the matrix sums measures in partition order, as the oracle does
+        rng = np.random.default_rng(52)
+        for _ in range(40):
+            A = default_letters(int(rng.integers(2, 12)))
+            S = random_structure(A, rng, max_partitions=8, normalized=bool(rng.integers(2)))
+            M = state_distance_matrix(S).matrix
+            want = [[oracles.state_distance_ref(a, b, S) for b in A.letters] for a in A.letters]
+            assert np.array_equal(M, want)
+
     def test_oracle_agreement(self):
         rng = np.random.default_rng(51)
         for _ in range(40):

@@ -33,9 +33,35 @@ from structent import (
     tree_from_distance,
     tree_to_distance,
 )
+from structent.io import tree_to_newick
+from structent.notions import StructuredAlphabet, h_s
 from structent.sampling import default_letters, random_distribution, random_ultrametric_tree
 
 ALL_FORMS = (hu_recursive, hu_nodewise, hu_arcwise, hu_bandwise)
+
+
+def grid_tree(n: int, rng) -> UltrametricTree:
+    """A random tree with two or three children per node and internal
+    heights on the grid 0, 1/4, 1/2, 3/4 below a root of height 1.  A node
+    on the 0 line has height exactly 0; any other is moved off its line by
+    up to 4e-10, so heights on one line are closer than HEIGHT_TOL."""
+
+    def build(letters: list, level: int):
+        if len(letters) == 1:
+            return leaf(letters[0])
+        k = min(len(letters), int(rng.integers(2, 4)))
+        cuts = np.sort(rng.choice(np.arange(1, len(letters)), k - 1, replace=False))
+        groups = np.split(rng.permutation(len(letters)), cuts)
+        kids = [
+            build([letters[j] for j in g], int(rng.integers(0, level)) if level else 0)
+            for g in groups
+        ]
+        if level in (0, 4):
+            return node(level / 4, kids)
+        return node(level / 4 + rng.uniform(-4e-10, 4e-10), kids)
+
+    A = default_letters(n)
+    return UltrametricTree(A, build(list(A.letters), 4))
 
 
 class TestDistanceMatrix:
@@ -308,6 +334,21 @@ class TestToPartitionStructure:
             for finer, coarser in zip(parts, parts[1:]):
                 assert refines(finer, coarser)
 
+    def test_matches_banded_structure_oracle(self):
+        rng = np.random.default_rng(19)
+        trees = [random_ultrametric_tree(int(rng.integers(2, 30)), rng) for _ in range(30)]
+        trees += [grid_tree(int(rng.integers(2, 30)), rng) for _ in range(60)]
+        assert any(nd.height == 0.0 for T in trees for nd, _ in T.nodes() if not nd.is_leaf)
+        for T in trees:
+            want = oracles.banded_structure_ref(tree_to_distance(T))
+            got = {
+                frozenset(map(frozenset, s.components)): m
+                for s, m in to_partition_structure(T).items()
+            }
+            assert len(got) == len(want)
+            for blocks, width in want:
+                assert got[blocks] == pytest.approx(width, abs=1e-8)
+
     def test_non_normalized_tree_rejected(self, abcd):
         T = UltrametricTree(
             abcd,
@@ -323,6 +364,47 @@ class TestToPartitionStructure:
 
         with pytest.raises(NotNormalized):
             to_partition_structure(T)
+
+
+class TestDeepTrees:
+    """A caterpillar on n leaves is n - 1 levels deep, so none of these may
+    recurse once per level."""
+
+    N = 2000
+
+    def test_caterpillar_forms_agree(self, caterpillar):
+        T = caterpillar(self.N)
+        assert sum(1 for _ in T.nodes()) == 2 * self.N - 1
+        P = random_distribution(T.alphabet, np.random.default_rng(self.N))
+        values = [form(T, P) for form in ALL_FORMS]
+        assert max(values) - min(values) <= 1e-12
+
+    def test_caterpillar_distance_closed_form(self, caterpillar):
+        T = caterpillar(self.N)
+        k = np.arange(self.N)
+        want = np.maximum.outer(k, k) / (self.N - 1)
+        np.fill_diagonal(want, 0.0)
+        assert np.array_equal(tree_to_distance(T).matrix, want)
+
+    def test_caterpillar_structure_and_newick(self, caterpillar):
+        T = caterpillar(self.N)
+        P = random_distribution(T.alphabet, np.random.default_rng(self.N))
+        S = to_partition_structure(T)
+        assert len(S) == self.N - 1
+        assert h_s(StructuredAlphabet(P, S)) == pytest.approx(hu_arcwise(T, P), abs=1e-12)
+        text = tree_to_newick(T)
+        assert text.endswith(";") and text.count(",") == self.N - 1
+
+    def test_band_on_deep_caterpillar(self, caterpillar):
+        # the banded tree of a caterpillar grows with the square of its depth
+        # (500 500 nodes at 1000 leaves); 400 levels are already past the
+        # default recursion limit for a walk of three frames per level
+        n = 400
+        T = caterpillar(n)
+        B = band(T)
+        assert sum(1 for _ in B.nodes()) == 2 * n - 1 + (n - 1) * (n - 2) // 2
+        P = random_distribution(T.alphabet, np.random.default_rng(n))
+        assert hu_arcwise(B, P) == pytest.approx(hu_arcwise(T, P), abs=1e-12)
 
 
 class TestSetDistance:
