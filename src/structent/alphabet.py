@@ -5,6 +5,13 @@ each partition of an alphabet.  It is the basic object everything else in
 the package consumes: entropy notions weight classical quantities by the
 measures, distances count the measure of separating partitions, and
 ultrametric trees induce one structure per tree.
+
+A partition is stored as one canonical label row, the block index of each
+letter in alphabet order, and a structure as the k x n matrix of its
+partitions' rows next to their measures.  Reduction is a ``bincount`` of a
+row, products are mixed-radix combinations of rows, restriction is a
+column slice, and letters that no positive-measure partition separates are
+the letters with equal columns.
 """
 
 from __future__ import annotations
@@ -13,6 +20,8 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .errors import (
     AlphabetMismatch,
@@ -130,58 +139,100 @@ class Distribution:
         return dict(zip(self.alphabet.letters, self.probs))
 
 
-@dataclass(frozen=True)
 class Partition:
     """A partition of an alphabet into at least two non-empty blocks.
 
-    Components are stored canonically: each block sorted in alphabet order,
-    blocks ordered by their first letter.  Equality and hashing use that
-    canonical form, so structurally equal partitions compare equal no matter
-    how they were assembled.
+    Stored as one canonical label row: ``labels[i]`` is the block of the
+    i-th letter, blocks numbered in the order of their first letters.
+    ``components`` lists each block's letters in alphabet order, blocks in
+    label order.  Equality and hashing use the label row, so structurally
+    equal partitions compare equal no matter how they were assembled.
     """
 
-    alphabet: Alphabet
-    components: tuple[tuple[Letter, ...], ...]
-    _letter_component: dict[Letter, int] = field(init=False, repr=False, compare=False)
+    __slots__ = ("alphabet", "labels", "_components")
 
     def __init__(self, alphabet: Alphabet, components: Iterable[Iterable[Letter]]):
-        blocks = [alphabet.sort_key(c) for c in components]
-        if any(len(b) == 0 for b in blocks):
+        index = alphabet._index
+        try:
+            blocks = [[index[a] for a in c] for c in components]
+        except KeyError as e:
+            raise AlphabetMismatch(f"letter {e.args[0]!r} not in alphabet") from None
+        if not all(blocks):
             raise PartitionMismatch("partition components must be non-empty")
-        blocks.sort(key=lambda b: alphabet.index_of(b[0]))
-        seen: dict[Letter, int] = {}
-        for k, b in enumerate(blocks):
-            for a in b:
-                if a in seen:
-                    raise PartitionMismatch(f"letter {a!r} appears in two components")
-                seen[a] = k
-        if len(seen) != len(alphabet):
-            missing = [a for a in alphabet if a not in seen]
+        flat = np.fromiter(itertools.chain.from_iterable(blocks), dtype=np.intp)
+        count = np.bincount(flat, minlength=len(alphabet))
+        if count.max() > 1:
+            dup = alphabet.letters[int(np.argmax(count > 1))]
+            raise PartitionMismatch(f"letter {dup!r} appears in two components")
+        if count.min() == 0:
+            missing = [a for a, c in zip(alphabet.letters, count) if c == 0]
             raise PartitionMismatch(f"components do not cover the alphabet, missing {missing!r}")
         if len(blocks) < 2:
             raise PartitionMismatch("a partition needs at least two components")
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "components", tuple(blocks))
-        object.__setattr__(self, "_letter_component", seen)
+        # number the blocks by their first letters
+        rank = np.argsort(np.argsort([min(b) for b in blocks]))
+        labels = np.empty(len(alphabet), dtype=np.intp)
+        labels[flat] = np.repeat(rank, [len(b) for b in blocks])
+        self.alphabet = alphabet
+        self.labels = _frozen(labels)
+        self._components = None
+
+    @classmethod
+    def _from_row(cls, alphabet: Alphabet, labels: np.ndarray) -> "Partition":
+        """The partition with a canonical label row, unchecked."""
+        s = object.__new__(cls)
+        s.alphabet = alphabet
+        s.labels = _frozen(labels)
+        s._components = None
+        return s
 
     @classmethod
     def singletons(cls, alphabet: Alphabet) -> "Partition":
         return cls(alphabet, [[a] for a in alphabet])
 
+    @property
+    def components(self) -> tuple[tuple[Letter, ...], ...]:
+        if self._components is None:
+            letters = self.alphabet.letters
+            order = iter([letters[i] for i in np.argsort(self.labels, kind="stable").tolist()])
+            self._components = tuple(
+                tuple(itertools.islice(order, k)) for k in np.bincount(self.labels).tolist()
+            )
+        return self._components
+
     def __len__(self) -> int:
-        return len(self.components)
+        return int(self.labels.max()) + 1
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Partition):
+            return NotImplemented
+        return self.alphabet == other.alphabet and np.array_equal(self.labels, other.labels)
+
+    def __hash__(self) -> int:
+        return hash((self.alphabet, self.labels.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"Partition({self.components!r})"
 
     def component_of(self, letter: Letter) -> int:
-        try:
-            return self._letter_component[letter]
-        except KeyError:
-            raise AlphabetMismatch(f"letter {letter!r} not in alphabet") from None
+        return int(self.labels[self.alphabet.index_of(letter)])
 
     def component_index(self) -> Mapping[Letter, int]:
-        return self._letter_component
+        return dict(zip(self.alphabet.letters, self.labels.tolist()))
 
     def separates(self, a: Letter, b: Letter) -> bool:
         return self.component_of(a) != self.component_of(b)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _canonical(row: np.ndarray) -> np.ndarray:
+    """A label row renumbered in order of first occurrence."""
+    _, first, inv = np.unique(row, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inv]
 
 
 def _check_same_alphabet(x, y) -> None:
@@ -215,44 +266,35 @@ def reduce(P: Distribution, s: Partition) -> Distribution:
 def reduced_probs(P: Distribution, s: Partition) -> list[float]:
     """Component masses of ``P`` under ``s``, in canonical component order."""
     _check_same_alphabet(P, s)
-    sums = [0.0] * len(s.components)
-    comp = s._letter_component
-    for a, p in zip(P.alphabet.letters, P.probs):
-        sums[comp[a]] += p
-    return sums
+    return np.bincount(s.labels, weights=P.probs).tolist()
 
 
 def join(s: Partition, t: Partition) -> Partition:
     """Coarsest common refinement: blocks are the non-empty pairwise
     intersections of blocks of ``s`` with blocks of ``t``."""
     _check_same_alphabet(s, t)
-    cells: dict[tuple[int, int], list[Letter]] = {}
-    for a in s.alphabet:
-        cells.setdefault((s.component_of(a), t.component_of(a)), []).append(a)
-    return Partition(s.alphabet, cells.values())
+    return Partition._from_row(s.alphabet, _canonical(s.labels * len(t) + t.labels))
 
 
 def refines(s: Partition, t: Partition) -> bool:
     """True when every block of ``s`` sits inside a block of ``t``."""
     _check_same_alphabet(s, t)
-    target: dict[int, int] = {}
-    for a in s.alphabet:
-        i, j = s.component_of(a), t.component_of(a)
-        if target.setdefault(i, j) != j:
-            return False
-    return True
+    return len(np.unique(s.labels * len(t) + t.labels)) == len(s)
 
 
 class PartitionStructure:
     """A finite set of partitions with non-negative measures.
 
+    The partitions' label rows are stacked into one k x n matrix
+    ``labels``, row r belonging to ``partitions[r]`` with measure
+    ``measures[r]``; the structure operations work on its rows and columns.
     Structurally identical partitions passed twice are merged with their
     measures summed, so the stored partitions are distinct.  A structure may
     be empty (total measure 0), which acts as the identity for
     :func:`combine`.
     """
 
-    __slots__ = ("alphabet", "partitions", "measures", "_separating")
+    __slots__ = ("alphabet", "partitions", "measures", "labels", "_separating")
 
     def __init__(
         self,
@@ -270,7 +312,20 @@ class PartitionStructure:
         self.alphabet = alphabet
         self.partitions = tuple(merged.keys())
         self.measures = tuple(merged.values())
+        rows = [s.labels for s in self.partitions]
+        self.labels = _frozen(np.array(rows, dtype=np.intp).reshape(len(rows), len(alphabet)))
         self._separating: bool | None = None
+
+    @classmethod
+    def _from_labels(
+        cls, alphabet: Alphabet, labels: np.ndarray, measures: Iterable[float]
+    ) -> "PartitionStructure":
+        """The structure of the given label rows and measures.  Rows are
+        renumbered canonically, rows of one block are dropped and equal rows
+        merged."""
+        rows = [_canonical(row) for row in labels]
+        items = [(Partition._from_row(alphabet, r), m) for r, m in zip(rows, measures) if r.max() > 0]
+        return cls(alphabet, items)
 
     @classmethod
     def traditional(cls, alphabet: Alphabet) -> "PartitionStructure":
@@ -297,14 +352,14 @@ class PartitionStructure:
         """True when every pair of letters is split by some positive-measure
         partition."""
         if self._separating is None:
-            letters = self.alphabet.letters
-            unsep = {frozenset(p) for p in itertools.combinations(letters, 2)}
-            for s, m in self.items():
-                if m <= 0.0 or not unsep:
-                    continue
-                unsep = {p for p in unsep if not s.separates(*tuple(p))}
-            self._separating = not unsep
+            self._separating = int(self._inseparable().max()) + 1 == len(self.alphabet)
         return self._separating
+
+    def _inseparable(self) -> np.ndarray:
+        """Canonical group label of every letter, where a group gathers the
+        letters whose label columns agree on every positive-measure row."""
+        cols = self.labels[np.array(self.measures, dtype=float) > 0.0].T
+        return _canonical(np.unique(cols, axis=0, return_inverse=True)[1].ravel())
 
     def measure_of(self, s: Partition) -> float:
         for t, m in self.items():
@@ -332,14 +387,8 @@ def restrict_structure(S: PartitionStructure, subset: Iterable[Letter]) -> Parti
     if not B:
         raise EmptySubset("cannot restrict a structure to the empty set")
     sub = S.alphabet.restricted(B)
-    out: list[tuple[Partition, float]] = []
-    for s, m in S.items():
-        blocks = [[a for a in c if a in B] for c in s.components]
-        blocks = [b for b in blocks if b]
-        if len(blocks) < 2:
-            continue
-        out.append((Partition(sub, blocks), m))
-    return PartitionStructure(sub, out)
+    cols = [S.alphabet.index_of(a) for a in sub]
+    return PartitionStructure._from_labels(sub, S.labels[:, cols], S.measures)
 
 
 def combine(S1: PartitionStructure, S2: PartitionStructure) -> PartitionStructure:
@@ -352,81 +401,45 @@ def product_alphabet(A: Alphabet, B: Alphabet) -> Alphabet:
     return Alphabet(tuple(itertools.product(A.letters, B.letters)))
 
 
+def _product_labels(LA: np.ndarray, LB: np.ndarray) -> np.ndarray:
+    """Label rows of the products of every row of ``LA`` with every row of
+    ``LB`` (``LA`` rows outermost) over the a-major product alphabet: the
+    letter (a, b) gets the mixed-radix label ``LA[a] * kB + LB[b]``."""
+    kB = LB.max(axis=1) + 1
+    L = LA[:, None, :, None] * kB[None, :, None, None] + LB[None, :, None, :]
+    return L.reshape(len(LA) * len(LB), LA.shape[1] * LB.shape[1])
+
+
 def product_partition(AB: Alphabet, sA: Partition, sB: Partition) -> Partition:
-    blocks = [
-        [(a, b) for a in ca for b in cb]
-        for ca in sA.components
-        for cb in sB.components
-    ]
-    return Partition(AB, blocks)
+    if AB != product_alphabet(sA.alphabet, sB.alphabet):
+        raise AlphabetMismatch("alphabet is not the product of the partitions' alphabets")
+    return Partition._from_row(AB, _product_labels(sA.labels[None], sB.labels[None])[0])
 
 
 def product_structure(SA: PartitionStructure, SB: PartitionStructure) -> PartitionStructure:
     """Product structure over the product alphabet: one partition per pair
     (sA, sB) with blocks cA x cB and measure mA * mB."""
-    AB = product_alphabet(SA.alphabet, SB.alphabet)
-    items = [
-        (product_partition(AB, sA, sB), mA * mB)
-        for sA, mA in SA.items()
-        for sB, mB in SB.items()
-    ]
-    return PartitionStructure(AB, items)
+    return PartitionStructure._from_labels(
+        product_alphabet(SA.alphabet, SB.alphabet),
+        _product_labels(SA.labels, SB.labels),
+        [mA * mB for mA in SA.measures for mB in SB.measures],
+    )
 
 
 def sequence_alphabet(A: Alphabet, m: int) -> Alphabet:
     return Alphabet(tuple(itertools.product(A.letters, repeat=m)))
 
 
-class LazyPowerStructure:
-    """m-fold product of a structure with itself, never materialized.
-
-    Provides the same ``items()`` iteration contract as
-    :class:`PartitionStructure`; each yielded partition lives over the
-    alphabet of length-m letter tuples.  Intended for consumers that stream
-    over partitions (entropy notions) when the eager product would be large.
-    """
-
-    __slots__ = ("base", "m", "alphabet")
-
-    def __init__(self, base: PartitionStructure, m: int):
-        if m < 1:
-            raise ValidationError("power requires m >= 1")
-        self.base = base
-        self.m = m
-        self.alphabet = sequence_alphabet(base.alphabet, m)
-
-    def items(self) -> Iterator[tuple[Partition, float]]:
-        for combo in itertools.product(list(self.base.items()), repeat=self.m):
-            parts = [s for s, _ in combo]
-            measure = math.prod(m for _, m in combo)
-            blocks = [
-                [letters for letters in itertools.product(*comps)]
-                for comps in itertools.product(*(p.components for p in parts))
-            ]
-            yield Partition(self.alphabet, blocks), measure
-
-    @property
-    def total_measure(self) -> float:
-        return self.base.total_measure ** self.m
-
-    @property
-    def is_normalized(self) -> bool:
-        return abs(self.total_measure - 1.0) <= PROB_TOL
-
-    def __len__(self) -> int:
-        return len(self.base) ** self.m
-
-
-def power_structure(S: PartitionStructure, m: int):
-    """m-fold self-product over length-m tuples.
-
-    Materialized eagerly for m <= 3; larger powers return a
-    :class:`LazyPowerStructure` exposing the same ``items()`` surface.
-    """
-    lazy = LazyPowerStructure(S, m)
-    if m <= 3:
-        return PartitionStructure(lazy.alphabet, lazy.items())
-    return lazy
+def power_structure(S: PartitionStructure, m: int) -> PartitionStructure:
+    """m-fold self-product over length-m tuples: one partition per m-tuple
+    of partitions, with the product of their measures."""
+    if m < 1:
+        raise ValidationError("power requires m >= 1")
+    labels, measures = S.labels, S.measures
+    for _ in range(m - 1):
+        labels = _product_labels(labels, S.labels)
+        measures = [a * b for a in measures for b in S.measures]
+    return PartitionStructure._from_labels(sequence_alphabet(S.alphabet, m), labels, measures)
 
 
 @dataclass(frozen=True)
@@ -467,29 +480,7 @@ def merge_inseparable(S: PartitionStructure) -> tuple[tuple[tuple[Letter, ...], 
     over the merged alphabet, whose letters are those groups.  Never applied
     implicitly by any other operation.
     """
-    A = S.alphabet
-    parent = {a: a for a in A}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in itertools.combinations(A.letters, 2):
-        if all(m <= 0.0 or not s.separates(a, b) for s, m in S.items()):
-            parent[find(a)] = find(b)
-    groups: dict[Letter, list[Letter]] = {}
-    for a in A:
-        groups.setdefault(find(a), []).append(a)
-    keys = sorted((A.sort_key(g) for g in groups.values()), key=lambda g: A.index_of(g[0]))
-    merged_alpha = Alphabet(tuple(keys))
-    of_letter = {a: g for g in keys for a in g}
-    items = []
-    for s, m in S.items():
-        blocks: dict[int, set] = {}
-        for g in keys:
-            blocks.setdefault(s.component_of(g[0]), set()).add(g)
-        if len(blocks) >= 2:
-            items.append((Partition(merged_alpha, blocks.values()), m))
-    return tuple(keys), PartitionStructure(merged_alpha, items)
+    group = S._inseparable()
+    keys = Partition._from_row(S.alphabet, group).components
+    _, first = np.unique(group, return_index=True)
+    return keys, PartitionStructure._from_labels(Alphabet(keys), S.labels[:, first], S.measures)

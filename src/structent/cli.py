@@ -30,7 +30,6 @@ from .notions import (
     StructuredAlphabet,
     StructuredJoint,
     d_kl_s,
-    entropy,
     h_s,
     h_s_conditional,
     h_s_joint,
@@ -131,11 +130,8 @@ def _structure_on(alphabet: Alphabet, S: PartitionStructure) -> PartitionStructu
         raise AlphabetMismatch("structure letters do not match the alphabet")
     if S.alphabet == alphabet:
         return S
-    from .alphabet import Partition
-
-    return PartitionStructure(
-        alphabet, [(Partition(alphabet, s.components), m) for s, m in S.items()]
-    )
+    cols = [S.alphabet.index_of(a) for a in alphabet]
+    return PartitionStructure._from_labels(alphabet, S.labels[:, cols], S.measures)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -36,7 +36,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -44,10 +44,7 @@ from .alphabet import (
     Alphabet,
     Distribution,
     Letter,
-    PartitionStructure,
     power_structure,
-    restrict_distribution,
-    restrict_structure,
     sequence_alphabet,
 )
 from .concordance import BinarySplit, d_hat
@@ -63,7 +60,6 @@ from .ultrametric import (
     DistanceMatrix,
     UltrametricTree,
     hu_arcwise,
-    set_distance,
     tree_to_distance,
 )
 from . import sampling
@@ -713,9 +709,6 @@ def typical_compression_check(X: StructuredAlphabet, m: int) -> tuple[float, flo
     seq_alpha = sequence_alphabet(X.alphabet, m)
     N = len(seq_alpha)
     P_m = Distribution(seq_alpha, [1.0 / N] * N)
-    S_m = power_structure(X.S, m)
-    if not isinstance(S_m, PartitionStructure):
-        S_m = PartitionStructure(S_m.alphabet, S_m.items())
-    X_m = StructuredAlphabet(P_m, S_m)
+    X_m = StructuredAlphabet(P_m, power_structure(X.S, m))
     C = CodeTree(seq_alpha, _balanced_code(list(seq_alpha.letters), 0, N))
     return esscl(C, X_m) / m, h_s(X)

@@ -13,6 +13,7 @@ that separate two letters gives a metric on the alphabet itself.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -174,23 +175,19 @@ def state_distance(a: Letter, b: Letter, S: PartitionStructure) -> float:
     Symmetric, zero on the diagonal, and satisfies the triangle inequality;
     it does not depend on any distribution.
     """
-    S.alphabet.index_of(a)
-    S.alphabet.index_of(b)
+    i, j = S.alphabet.index_of(a), S.alphabet.index_of(b)
     if a == b:
         return 0.0
-    return math.fsum(m for s, m in S.items() if s.separates(a, b))
+    return math.fsum(itertools.compress(S.measures, S.labels[:, i] != S.labels[:, j]))
 
 
 def state_distance_matrix(S: PartitionStructure) -> "DistanceMatrix":
     """All pairwise state distances in alphabet order."""
     from .ultrametric import DistanceMatrix
 
-    letters = S.alphabet.letters
-    n = len(letters)
+    n = len(S.alphabet)
     out = np.zeros((n, n))
-    for s, m in S.items():
-        if m <= 0.0:
-            continue
-        lab = np.array([s.component_of(a) for a in letters])
-        out += m * (lab[:, None] != lab[None, :])
+    for lab, m in zip(S.labels, S.measures):
+        if m > 0.0:
+            out += m * (lab[:, None] != lab[None, :])
     return DistanceMatrix(S.alphabet, out)

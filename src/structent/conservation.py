@@ -10,13 +10,12 @@ the structure-blind and structure-aware views can be compared per column.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 from .alphabet import Distribution, Partition, reduce
 from .errors import AlphabetMismatch, ValidationError
-from .io import AMINO_ACIDS, GAP, Alignment
+from .io import GAP, Alignment
 from .notions import entropy
 from .ultrametric import UltrametricTree, hu_arcwise, leaf, node
 

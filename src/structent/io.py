@@ -9,9 +9,8 @@ equal object.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -135,37 +134,23 @@ class _NewickCursor:
             self.pos += 1
 
 
-def _parse_newick_node(cur: _NewickCursor):
-    """Returns (children, name, length) with length None when absent."""
+def _newick_tail(cur: _NewickCursor) -> tuple[str, Optional[float]]:
+    """The name and branch length that end a node; length None when absent."""
+    start = cur.pos
+    while cur.peek() and cur.peek() not in "():,; \t\r\n":
+        cur.pos += 1
+    name = cur.text[start:cur.pos]
     cur.skip_ws()
-    children = []
-    if cur.peek() == "(":
-        cur.take()
-        while True:
-            children.append(_parse_newick_node(cur))
-            cur.skip_ws()
-            ch = cur.take()
-            if ch == ",":
-                continue
-            if ch == ")":
-                break
-            raise cur.error(f"expected ',' or ')', got {ch!r}")
-    name_chars = []
-    while cur.peek() not in "():,;" and cur.peek() not in " \t\r\n" and cur.peek():
-        name_chars.append(cur.take())
-    name = "".join(name_chars)
-    length = None
-    cur.skip_ws()
-    if cur.peek() == ":":
-        cur.take()
-        num = []
-        while cur.peek() and cur.peek() in "0123456789.eE+-":
-            num.append(cur.take())
-        try:
-            length = float("".join(num))
-        except ValueError:
-            raise cur.error("malformed branch length") from None
-    return (children, name, length)
+    if cur.peek() != ":":
+        return name, None
+    cur.take()
+    start = cur.pos
+    while cur.peek() and cur.peek() in "0123456789.eE+-":
+        cur.pos += 1
+    try:
+        return name, float(cur.text[start:cur.pos])
+    except ValueError:
+        raise cur.error("malformed branch length") from None
 
 
 def parse_newick(text: str, lengths: str = "arc") -> UltrametricTree:
@@ -176,53 +161,71 @@ def parse_newick(text: str, lengths: str = "arc") -> UltrametricTree:
     distance through a node then equals the node height).  ``lengths="L"``
     reads them as height drops directly.  All leaves must be equidistant
     from the root.
+
+    One pass with an explicit stack of open nodes reads the nodes in
+    preorder; depths and tree nodes are then filled in over that order, so
+    no step recurses.
     """
     if lengths not in ("arc", "L"):
         raise ValidationError("lengths must be 'arc' or 'L'")
     cur = _NewickCursor(text)
-    root = _parse_newick_node(cur)
+    parent: list[int] = []
+    kids: list[list[int]] = []
+    tail: list[tuple[str, Optional[float]]] = []
+    open_nodes: list[int] = []  # internal nodes whose children are being read
+    while True:
+        cur.skip_ws()
+        i = len(parent)
+        parent.append(open_nodes[-1] if open_nodes else -1)
+        kids.append([])
+        tail.append(("", None))
+        if open_nodes:
+            kids[open_nodes[-1]].append(i)
+        if cur.peek() == "(":
+            cur.take()
+            open_nodes.append(i)
+            continue
+        while True:  # end node i, and every parent whose ')' follows
+            tail[i] = _newick_tail(cur)
+            if not open_nodes:
+                break
+            cur.skip_ws()
+            ch = cur.take()
+            if ch == ",":
+                break
+            if ch != ")":
+                raise cur.error(f"expected ',' or ')', got {ch!r}")
+            i = open_nodes.pop()
+        if not open_nodes:
+            break
     cur.skip_ws()
     if cur.take() != ";":
         raise cur.error("expected ';' at end of tree")
     factor = 2.0 if lengths == "arc" else 1.0
 
-    depths: list[float] = []
-
-    def depth_of(nd, d: float) -> None:
-        children, name, length = nd
-        if not children:
-            depths.append(d)
-            return
-        for c in children:
-            cl = c[2]
-            if cl is None:
-                raise ValidationError("newick: branch length missing on an arc")
-            depth_of(c, d + cl)
-
-    depth_of(root, 0.0)
-    if not depths:
-        raise ParseError("newick tree has no leaves")
-    dmax, dmin = max(depths), min(depths)
+    depth = [0.0] * len(parent)
+    for i in range(1, len(parent)):
+        length = tail[i][1]
+        if length is None:
+            raise ValidationError("newick: branch length missing on an arc")
+        depth[i] = depth[parent[i]] + length
+    leaves = [i for i, k in enumerate(kids) if not k]
+    dmax = max(depth[i] for i in leaves)
+    dmin = min(depth[i] for i in leaves)
     if dmax - dmin > 1e-9 * max(1.0, dmax):
         raise ValidationError(
             f"newick leaves are not equidistant from the root ({dmin} vs {dmax})"
         )
 
-    letters: list[str] = []
-
-    def build(nd, d: float) -> TreeNode:
-        children, name, _ = nd
-        if not children:
-            if not name:
-                raise ParseError("newick leaf without a name")
-            letters.append(name)
-            return leaf(name)
-        height = factor * (dmax - d)
-        kids = [build(c, d + c[2]) for c in children]
-        return node(height, kids)
-
-    troot = build(root, 0.0)
-    return UltrametricTree(Alphabet(tuple(letters)), troot)
+    built: list[Optional[TreeNode]] = [None] * len(parent)
+    for i in reversed(range(len(parent))):
+        if kids[i]:
+            built[i] = node(factor * (dmax - depth[i]), [built[c] for c in kids[i]])
+        elif not tail[i][0]:
+            raise ParseError("newick leaf without a name")
+        else:
+            built[i] = leaf(tail[i][0])
+    return UltrametricTree(Alphabet(tuple(tail[i][0] for i in leaves)), built[0])
 
 
 def tree_to_newick(T: UltrametricTree, lengths: str = "arc") -> str:

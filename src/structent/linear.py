@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .alphabet import Alphabet, Distribution, Partition, PartitionStructure
+from .alphabet import Alphabet, Distribution, PartitionStructure
 from .errors import (
     DuplicateValues,
     NonMonotoneCdf,
@@ -26,7 +26,6 @@ from .errors import (
 )
 from .notions import (
     JointDistribution,
-    StructuredJoint,
     binary_entropy,
     conditional_entropy,
     joint_entropy,
@@ -89,13 +88,9 @@ def collapse_duplicate_points(
 def linear_structure(A: LinearAlphabet) -> PartitionStructure:
     """Threshold partitions: cutting after the i-th point has measure equal
     to the gap it crosses.  Separating; normalized iff the range is 1."""
-    alpha = A.alphabet
-    items = []
-    pts = A.points
-    for i in range(1, len(pts)):
-        s = Partition(alpha, [pts[:i], pts[i:]])
-        items.append((s, pts[i] - pts[i - 1]))
-    return PartitionStructure(alpha, items)
+    n = len(A.points)
+    cuts = np.arange(n) >= np.arange(1, n)[:, None]  # row i - 1 cuts after point i
+    return PartitionStructure._from_labels(A.alphabet, cuts.astype(np.intp), A.gaps())
 
 
 def _check_linear_dist(A: LinearAlphabet, P: Distribution) -> None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -38,6 +38,8 @@ LOG2 = math.log(2.0)
 
 def entropy(probs: Iterable[float]) -> float:
     """Shannon entropy -sum p log2 p in bits."""
+    if isinstance(probs, np.ndarray):
+        probs = probs.tolist()  # the same values; Python floats loop faster
     return -math.fsum(p * math.log2(p) for p in probs if p > 0.0) + 0.0
 
 
@@ -133,11 +135,9 @@ class JointDistribution:
         """Joint matrix over components of sA x components of sB."""
         if sA.alphabet != self.row_alphabet or sB.alphabet != self.col_alphabet:
             raise AlphabetMismatch("partition alphabets do not match the joint")
-        rows = np.fromiter((sA.component_of(a) for a in self.row_alphabet), dtype=int)
-        cols = np.fromiter((sB.component_of(b) for b in self.col_alphabet), dtype=int)
-        out = np.zeros((len(sA), len(sB)))
-        np.add.at(out, (rows[:, None], cols[None, :]), self.matrix)
-        return out
+        kA, kB = len(sA), len(sB)
+        cells = sA.labels[:, None] * kB + sB.labels[None, :]
+        return np.bincount(cells.ravel(), weights=self.matrix.ravel()).reshape(kA, kB)
 
 
 @dataclass(frozen=True)
@@ -160,22 +160,25 @@ def h_s(X: StructuredAlphabet) -> float:
     return h_s_of(X.P, X.S)
 
 
-def h_s_of(P: Distribution, S) -> float:
-    """``h_s`` for a distribution and any structure-like object exposing
-    ``items()``; also accepts lazy product structures."""
+def h_s_of(P: Distribution, S: PartitionStructure) -> float:
+    """``h_s`` of a distribution and a structure given separately."""
     return math.fsum(m * entropy(reduced_probs(P, s)) for s, m in S.items() if m > 0.0)
+
+
+def _reduced_pairs(J: StructuredJoint) -> Iterator[tuple[float, np.ndarray]]:
+    """(mA * mB, reduced joint) for every pair of positive-measure
+    partitions, row partitions outermost."""
+    for sA, mA in J.SA.items():
+        if mA > 0.0:
+            for sB, mB in J.SB.items():
+                if mB > 0.0:
+                    yield mA * mB, J.joint.reduced(sA, sB)
 
 
 def h_s_joint(J: StructuredJoint) -> float:
     """Joint structure entropy: both sides reduced, weighted by the product
     of the two partition measures."""
-    return math.fsum(
-        mA * mB * joint_entropy(J.joint.reduced(sA, sB))
-        for sA, mA in J.SA.items()
-        if mA > 0.0
-        for sB, mB in J.SB.items()
-        if mB > 0.0
-    )
+    return math.fsum(w * joint_entropy(red) for w, red in _reduced_pairs(J))
 
 
 def h_s_conditional(J: StructuredJoint, direction: str = "row|col") -> float:
@@ -188,29 +191,15 @@ def h_s_conditional(J: StructuredJoint, direction: str = "row|col") -> float:
     if direction not in ("row|col", "col|row"):
         raise ValidationError("direction must be 'row|col' or 'col|row'")
     total = 0.0
-    for sA, mA in J.SA.items():
-        if mA <= 0.0:
-            continue
-        for sB, mB in J.SB.items():
-            if mB <= 0.0:
-                continue
-            red = J.joint.reduced(sA, sB)
-            if direction == "col|row":
-                red = red.T
-            total += mA * mB * conditional_entropy(red)
+    for w, red in _reduced_pairs(J):
+        total += w * conditional_entropy(red.T if direction == "col|row" else red)
     return total
 
 
 def i_s(J: StructuredJoint) -> float:
     """Structure mutual information: measure-weighted classical mutual
     information of every reduced joint."""
-    return math.fsum(
-        mA * mB * mutual_information(J.joint.reduced(sA, sB))
-        for sA, mA in J.SA.items()
-        if mA > 0.0
-        for sB, mB in J.SB.items()
-        if mB > 0.0
-    )
+    return math.fsum(w * mutual_information(red) for w, red in _reduced_pairs(J))
 
 
 def d_kl_s(X: StructuredAlphabet, Q: Distribution) -> float:

@@ -6,7 +6,6 @@ seeding and reproducibility; nothing here touches global random state.
 
 from __future__ import annotations
 
-import math
 import string
 
 import numpy as np

@@ -16,14 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .alphabet import (
-    Alphabet,
     Distribution,
-    Letter,
     Partition,
     PartitionStructure,
     build_q,
@@ -232,16 +230,14 @@ def equivalence_class_stats(
     k = len(space.symbols)
     if space.size > cap:
         raise SpaceTooLarge(f"{space.size} sequences exceed the enumeration cap {cap}")
-    # partition index of each pair symbol, for projection codes
-    part_list = list(S.partitions)
-    sym_part = np.array(
-        [part_list.index(s) for _, s in space.symbols], dtype=np.int64
-    )
+    # partition index of each pair symbol, for projection codes; build_q
+    # lists the components of each partition in turn
+    radix = len(S)
+    sym_part = np.repeat(np.arange(radix, dtype=np.int64), [len(s) for s in S.partitions])
     with np.errstate(divide="ignore"):
         base = -np.log2(np.asarray(space.probs, dtype=float))
     sur = np.zeros(1)
     code = np.zeros(1, dtype=np.int64)
-    radix = len(part_list)
     for _ in range(N):
         sur = (sur[:, None] + base[None, :]).ravel()
         code = (code[:, None] * radix + sym_part[None, :]).ravel()

@@ -520,22 +520,27 @@ def check_binary_partition_minimality(
 
 
 def tree_equal(T1: UltrametricTree, T2: UltrametricTree, tol: float = HEIGHT_TOL) -> bool:
-    """Structural equality up to child order and a height tolerance."""
+    """Structural equality up to child order and a height tolerance.
+
+    Node pairs wait on an explicit stack; the children of a pair are matched
+    by their first letter in alphabet order (siblings have disjoint leaves).
+    """
     if T1.alphabet != T2.alphabet:
         return False
 
-    def key(nd: TreeNode):
-        return T1.alphabet.sort_key(nd.leaves)
+    def key(nd: TreeNode) -> int:
+        return min(map(T1.alphabet.index_of, nd.leaves))
 
-    def eq(a: TreeNode, b: TreeNode) -> bool:
+    stack = [(T1.root, T2.root)]
+    while stack:
+        a, b = stack.pop()
         if a.is_leaf or b.is_leaf:
-            return a.is_leaf and b.is_leaf and a.letter == b.letter
+            if not (a.is_leaf and b.is_leaf and a.letter == b.letter):
+                return False
+            continue
         if abs(a.height - b.height) > tol * max(1.0, a.height):
             return False
         if len(a.children) != len(b.children):
             return False
-        ca = sorted(a.children, key=key)
-        cb = sorted(b.children, key=key)
-        return all(eq(x, y) for x, y in zip(ca, cb))
-
-    return eq(T1.root, T2.root)
+        stack.extend(zip(sorted(a.children, key=key), sorted(b.children, key=key)))
+    return True

@@ -101,6 +101,82 @@ def dist_dict(D) -> dict:
     }
 
 
+# ------------------------------------------------- partition structures
+
+
+def _block_of(s) -> dict:
+    return {a: k for k, c in enumerate(s.components) for a in c}
+
+
+def reduced_probs_ref(P, s) -> list[float]:
+    """Component masses, added letter by letter in alphabet order."""
+    block = _block_of(s)
+    sums = [0.0] * len(s.components)
+    for a, p in zip(P.alphabet.letters, P.probs):
+        sums[block[a]] += p
+    return sums
+
+
+def is_separating_ref(S) -> bool:
+    """Every pair of letters is split by some positive-measure partition."""
+    blocks = [_block_of(s) for s, m in S.items() if m > 0.0]
+    return all(
+        any(b[x] != b[y] for b in blocks)
+        for x, y in itertools.combinations(S.alphabet.letters, 2)
+    )
+
+
+def _merged_items(pairs) -> list:
+    """(block set, measure) pairs with equal block sets merged in order of
+    first appearance, measures summed in that order."""
+    out: dict = {}
+    for blocks, m in pairs:
+        out[blocks] = out.get(blocks, 0.0) + m
+    return list(out.items())
+
+
+def restrict_structure_ref(S, subset) -> list:
+    """Each partition cut down to ``subset``; single-block results dropped."""
+    B = set(subset)
+    pairs = []
+    for s, m in S.items():
+        blocks = frozenset(frozenset(a for a in c if a in B) for c in s.components) - {frozenset()}
+        if len(blocks) >= 2:
+            pairs.append((blocks, m))
+    return _merged_items(pairs)
+
+
+def merge_inseparable_ref(S) -> tuple:
+    """Union-find over letter pairs that no positive-measure partition
+    separates.  Returns the groups, alphabet-ordered and ordered by first
+    letter, and the rewritten structure as (block set, measure) pairs."""
+    A = S.alphabet
+    parent = {a: a for a in A.letters}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    blocks = [(_block_of(s), m) for s, m in S.items()]
+    for a, b in itertools.combinations(A.letters, 2):
+        if all(m <= 0.0 or blk[a] == blk[b] for blk, m in blocks):
+            parent[find(a)] = find(b)
+    groups: dict = {}
+    for a in A.letters:
+        groups.setdefault(find(a), []).append(a)
+    keys = sorted((tuple(g) for g in groups.values()), key=lambda g: A.index_of(g[0]))
+    pairs = []
+    for blk, m in blocks:
+        by_block: dict = {}
+        for g in keys:
+            by_block.setdefault(blk[g[0]], set()).add(g)
+        if len(by_block) >= 2:
+            pairs.append((frozenset(frozenset(v) for v in by_block.values()), m))
+    return tuple(keys), _merged_items(pairs)
+
+
 # --------------------------------------------------------- h_s double sums
 
 

@@ -10,24 +10,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+import oracles
 from structent import (
     Alphabet,
+    AlphabetMismatch,
     Distribution,
-    LazyPowerStructure,
+    JointDistribution,
     Partition,
     PartitionStructure,
+    StructuredAlphabet,
+    StructuredJoint,
     ValidationError,
     ZeroMassSubset,
     build_q,
     combine,
+    d_kl_s,
+    h_s,
+    h_s_joint,
     join,
     merge_inseparable,
     power_structure,
     product_structure,
     reduce,
+    reduced_probs,
     refines,
     restrict_distribution,
     restrict_structure,
+    state_distance,
 )
 from structent.sampling import random_partition, random_structure
 
@@ -276,16 +285,13 @@ class TestProductAndPower:
                 S1.total_measure * S2.total_measure
             )
 
-    def test_power_eager_matches_lazy(self, mixed_structure):
-        eager = power_structure(mixed_structure, 2)
-        lazy = LazyPowerStructure(mixed_structure, 2)
-        eager_items = {(s.components, round(m, 12)) for s, m in eager.items()}
-        lazy_items = {(s.components, round(m, 12)) for s, m in lazy.items()}
-        assert eager_items == lazy_items
+    def test_power_two_is_the_square(self, mixed_structure):
+        sq = product_structure(mixed_structure, mixed_structure)
+        assert power_structure(mixed_structure, 2) == sq
 
-    def test_power_lazy_above_three(self, mixed_structure):
+    def test_power_above_three(self, mixed_structure):
         big = power_structure(mixed_structure, 4)
-        assert isinstance(big, LazyPowerStructure)
+        assert isinstance(big, PartitionStructure)
         assert len(big) == 16
         assert big.total_measure == pytest.approx(1.0)
 
@@ -331,6 +337,123 @@ class TestMergeInseparable:
         groups, merged = merge_inseparable(mixed_structure)
         assert all(len(g) == 1 for g in groups)
 
+
+
+def tricky_structure(rng) -> PartitionStructure:
+    """A random structure with some letters that no positive-measure
+    partition separates, zero-measure partitions that may separate them,
+    repeated partitions, and components handed over in shuffled order."""
+    n = int(rng.integers(2, 10))
+    A = Alphabet(tuple(f"x{i}" for i in range(n)))
+    twin = np.arange(n)
+    for j in rng.choice(n, size=int(rng.integers(0, n)), replace=False):
+        twin[j] = twin[int(rng.integers(0, n))]
+    if len(set(twin.tolist())) < 2:  # positive partitions need two blocks
+        twin = np.arange(n)
+    items = []
+    for _ in range(int(rng.integers(1, 6))):
+        zero = rng.random() < 0.3
+        while True:
+            lab = rng.integers(0, int(rng.integers(2, n + 1)), size=n)
+            if not zero:
+                lab = lab[twin]
+            if len(set(lab.tolist())) >= 2:
+                break
+        blocks = [[A.letters[i] for i in rng.permutation(np.flatnonzero(lab == g))]
+                  for g in rng.permutation(np.unique(lab))]
+        items.append((Partition(A, blocks), 0.0 if zero else float(rng.uniform(0.1, 1.0))))
+        if rng.random() < 0.2:
+            items.append(items[int(rng.integers(0, len(items)))])
+    return PartitionStructure(A, items)
+
+
+def block_sets(S) -> list:
+    return [(frozenset(frozenset(c) for c in s.components), m) for s, m in S.items()]
+
+
+class TestLabelCore:
+    """The label-matrix operations against the reference implementations in
+    ``oracles`` (pairwise checks, union-find, letter-by-letter sums)."""
+
+    def test_is_separating_matches_reference(self):
+        rng = np.random.default_rng(61)
+        seen = set()
+        for _ in range(300):
+            S = tricky_structure(rng)
+            assert S.is_separating == oracles.is_separating_ref(S)
+            seen.add(S.is_separating)
+        assert seen == {True, False}
+
+    def test_merge_inseparable_matches_reference(self):
+        rng = np.random.default_rng(62)
+        merged_some = False
+        for _ in range(300):
+            S = tricky_structure(rng)
+            groups, merged = merge_inseparable(S)
+            want_groups, want_items = oracles.merge_inseparable_ref(S)
+            assert groups == want_groups
+            assert merged.alphabet.letters == groups
+            assert block_sets(merged) == want_items
+            merged_some |= len(groups) < len(S.alphabet)
+        assert merged_some
+
+    def test_restrict_structure_matches_reference(self):
+        rng = np.random.default_rng(63)
+        for _ in range(300):
+            S = tricky_structure(rng)
+            letters = S.alphabet.letters
+            B = [a for a in letters if rng.random() < 0.6] or [letters[0]]
+            R = restrict_structure(S, B)
+            assert R.alphabet.letters == tuple(a for a in letters if a in B)
+            assert block_sets(R) == oracles.restrict_structure_ref(S, B)
+
+    def test_reduced_probs_exact(self):
+        rng = np.random.default_rng(64)
+        for _ in range(300):
+            S = tricky_structure(rng)
+            P = Distribution(S.alphabet, rng.dirichlet(np.ones(len(S.alphabet))), renormalize=True)
+            for s in S.partitions:
+                assert reduced_probs(P, s) == oracles.reduced_probs_ref(P, s)
+
+    def test_notions_match_double_sums(self):
+        rng = np.random.default_rng(65)
+        for _ in range(100):
+            S, T = tricky_structure(rng), tricky_structure(rng)
+            A = S.alphabet
+            P = Distribution(A, rng.dirichlet(np.ones(len(A))), renormalize=True)
+            Q = Distribution(A, rng.dirichlet(np.ones(len(A))), renormalize=True)
+            X = StructuredAlphabet(P, S)
+            assert h_s(X) == pytest.approx(oracles.hs_double_sum(P, S), abs=1e-12)
+            assert d_kl_s(X, Q) == pytest.approx(oracles.dkl_double_sum(P, Q, S), abs=1e-12)
+            for a, b in itertools.product(A.letters, repeat=2):
+                assert state_distance(a, b, S) == pytest.approx(
+                    oracles.state_distance_ref(a, b, S), abs=1e-12
+                )
+            J = JointDistribution(
+                A, T.alphabet, rng.dirichlet(np.ones(len(A) * len(T.alphabet))).reshape(len(A), -1)
+            )
+            assert h_s_joint(StructuredJoint(J, S, T)) == pytest.approx(
+                oracles.hs_joint_double_sum(J, S, T), abs=1e-12
+            )
+
+    def test_shuffled_components_give_one_row(self):
+        rng = np.random.default_rng(66)
+        for _ in range(100):
+            S = tricky_structure(rng)
+            for s in S.partitions:
+                shuffled = [list(rng.permutation(c)) for c in s.components]
+                t = Partition(S.alphabet, [shuffled[k] for k in rng.permutation(len(shuffled))])
+                assert np.array_equal(t.labels, s.labels)
+                assert t == s and hash(t) == hash(s)
+                assert t.components == s.components
+
+    def test_labels_stack_into_the_matrix(self, mixed_structure):
+        assert mixed_structure.labels.tolist() == [[0, 1, 2, 3], [0, 0, 1, 1]]
+        assert PartitionStructure(mixed_structure.alphabet).labels.shape == (0, 4)
+
+    def test_unknown_letter_rejected(self, abcd):
+        with pytest.raises(AlphabetMismatch):
+            Partition(abcd, [("a", "b"), ("c", "z")])
 
 @given(
     hst.integers(min_value=2, max_value=7),

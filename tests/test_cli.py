@@ -10,6 +10,7 @@ import pytest
 
 from structent import (
     distribution_to_json,
+    hu_arcwise,
     parse_distance_csv,
     parse_structure_json,
     structure_to_json,
@@ -68,6 +69,16 @@ def run(capsys, argv):
 
 
 class TestHu:
+    def test_deep_caterpillar(self, capsys, tmp_path, caterpillar):
+        T = caterpillar(2000)
+        P = random_distribution(T.alphabet, np.random.default_rng(2000))
+        (tmp_path / "deep.nwk").write_text(tree_to_newick(T) + "\n")
+        (tmp_path / "deep.json").write_text(distribution_to_json(P))
+        code, out = run(capsys, ["hu", "--tree", str(tmp_path / "deep.nwk"),
+                         "--probs", str(tmp_path / "deep.json")])
+        assert code == 0
+        assert out["H_U"] == pytest.approx(hu_arcwise(T, P), rel=1e-11)
+
     def test_worked_value_and_forms(self, capsys, files):
         code, out = run(
             capsys,

@@ -120,7 +120,7 @@ class TestHS:
             v = h_s(StructuredAlphabet(P, S))
             assert -1e-12 <= v <= entropy(P.probs) + 1e-9
 
-    def test_lazy_power_accepted(self, uniform4, mixed_structure):
+    def test_power_above_three(self, uniform4, mixed_structure):
         big = power_structure(mixed_structure, 4)
         from structent import sequence_alphabet
 

@@ -33,7 +33,7 @@ from structent import (
     tree_from_distance,
     tree_to_distance,
 )
-from structent.io import tree_to_newick
+from structent.io import parse_newick, tree_to_newick
 from structent.notions import StructuredAlphabet, h_s
 from structent.sampling import default_letters, random_distribution, random_ultrametric_tree
 
@@ -394,6 +394,25 @@ class TestDeepTrees:
         assert h_s(StructuredAlphabet(P, S)) == pytest.approx(hu_arcwise(T, P), abs=1e-12)
         text = tree_to_newick(T)
         assert text.endswith(";") and text.count(",") == self.N - 1
+
+    def test_caterpillar_tree_equal(self, caterpillar):
+        T = caterpillar(self.N)
+        assert tree_equal(T, T) and tree_equal(T, caterpillar(self.N))
+        # the same chain with the third-lowest node raised a little
+        A = T.alphabet
+        heights = [k / (self.N - 1) for k in range(1, self.N)]
+        heights[2] += 0.5 / (self.N - 1)
+        nd = leaf(A.letters[0])
+        for k, h in enumerate(heights, start=1):
+            nd = node(h, [nd, leaf(A.letters[k])])
+        assert not tree_equal(T, UltrametricTree(A, nd))
+
+    def test_caterpillar_newick_round_trip(self, caterpillar):
+        T = caterpillar(self.N)
+        for lengths in ("arc", "L"):
+            back = parse_newick(tree_to_newick(T, lengths=lengths), lengths=lengths)
+            assert back.alphabet == T.alphabet
+            assert tree_equal(back, T)
 
     def test_band_on_deep_caterpillar(self, caterpillar):
         # the banded tree of a caterpillar grows with the square of its depth
