@@ -16,17 +16,20 @@ restricted structure, and the analogous average is the expected
 structure-sensitive code length ``esscl``, bounded below by the structure
 entropy.
 
-``optimize`` searches for a cheap code tree by recursively improving
-subtrees and cross-combining their branches whenever that lowers ``mu_u``.
-It costs code nodes from two vectors cached on each node, the restricted
-mass vector pm = p * 1[node] and the distance-mass profile prof = D @ pm,
-both sums of the children's.  A node's weighted cost is then one dot
-product, (m_L + m_R) * (pm_L @ prof_R) / (m_L * m_R), and the up to 15
-arrangements of up to four blocks are scored as scalars from the block
-cross weights pm_a @ prof_b; only the winning arrangement is built.  A side
-of zero mass is costed directly, with uniform weights.  ``mu_u``,
-``lambda_u`` and ``distance_code_lengths`` cost each node from the distance
-submatrix instead, an independent check on the search.
+These sums read the flat preorder view of :class:`CodeTree`, in which every
+subtree owns a contiguous run of one leaf order: a per-node table of masses
+and expected distances, each from one contiguous block of the distance
+matrix put in leaf order, or a per-node table of merits.  Codewords and
+per-letter lengths are sums along root-to-leaf paths, in one preorder pass.
+
+``optimize`` improves every subtree, children first, cross-combining its
+branches whenever that lowers ``mu_u``.  Each node caches the restricted
+mass vector pm = p * 1[node] and the profile prof = D @ pm, sums of its
+children's, so a node's weighted cost is (m_L + m_R) * (pm_L @ prof_R) /
+(m_L * m_R); the up to 15 arrangements of up to four blocks are scored as
+scalars from the block cross weights pm_a @ prof_b, a zero-mass side with
+uniform weights, and only the winner is built.  The starting tree is costed
+from the distance table, so ``mu_u`` stays an independent check.
 """
 
 from __future__ import annotations
@@ -59,7 +62,10 @@ from .notions import StructuredAlphabet, binary_entropy, h_s
 from .ultrametric import (
     DistanceMatrix,
     UltrametricTree,
+    _unfold,
+    _weights,
     hu_arcwise,
+    set_distance,
     tree_to_distance,
 )
 from . import sampling
@@ -68,19 +74,14 @@ from . import sampling
 class CodeNode:
     """A node of a strictly binary code tree."""
 
-    __slots__ = ("letter", "left", "right", "leaves", "_idx", "_vec", "_contrib", "_opt")
+    __slots__ = ("letter", "left", "right", "_vec", "_contrib", "_opt")
 
     def __init__(self, letter=None, left: "CodeNode" = None, right: "CodeNode" = None):
+        if (left is None) != (right is None):
+            raise ValidationError("code nodes have zero or two children")
         self.letter = letter
         self.left = left
         self.right = right
-        if left is None and right is None:
-            self.leaves = frozenset((letter,))
-        elif left is not None and right is not None:
-            self.leaves = left.leaves | right.leaves
-        else:
-            raise ValidationError("code nodes have zero or two children")
-        self._idx = None
         self._vec = None
         self._contrib = None
         self._opt = False
@@ -89,6 +90,18 @@ class CodeNode:
     def is_leaf(self) -> bool:
         return self.left is None
 
+    @property
+    def leaves(self) -> frozenset:
+        """The letters under this node, collected on each call."""
+        out, stack = [], [self]
+        while stack:
+            nd = stack.pop()
+            if nd.is_leaf:
+                out.append(nd.letter)
+            else:
+                stack += (nd.left, nd.right)
+        return frozenset(out)
+
     def __repr__(self) -> str:
         if self.is_leaf:
             return f"CodeLeaf({self.letter!r})"
@@ -96,175 +109,142 @@ class CodeNode:
 
 
 class CodeTree:
-    """A strictly binary tree whose leaves are exactly the alphabet."""
+    """A strictly binary tree whose leaves are exactly the alphabet.
 
-    __slots__ = ("alphabet", "root")
+    Like :class:`~structent.ultrametric.UltrametricTree`, it keeps one flat
+    view of its nodes, built in the pass that validates the leaves: in
+    preorder with left branches first, so a left child sits right after its
+    parent; ``_right`` holds each right child's position (-1 at a leaf), and
+    ``[_lo, _hi)`` each node's range in ``_order``, the alphabet indices of
+    the leaves from left to right.
+    """
+
+    __slots__ = ("alphabet", "root", "_nodes", "_right", "_lo", "_hi", "_order")
 
     def __init__(self, alphabet: Alphabet, root: CodeNode):
         self.alphabet = alphabet
         self.root = root
+        index = alphabet._index
+        nodes, right, lo, order = [], [], [], []
         seen: set = set()
-
-        def walk(nd: CodeNode) -> None:
-            if nd.is_leaf:
-                if nd.letter not in alphabet._index:
-                    raise ValidationError(f"code leaf {nd.letter!r} not in alphabet")
-                if nd.letter in seen:
-                    raise ValidationError(f"duplicate code leaf {nd.letter!r}")
-                seen.add(nd.letter)
-                return
-            walk(nd.left)
-            walk(nd.right)
-
-        walk(root)
-        if seen != set(alphabet.letters):
+        stack = [(root, -1)]  # (node, position of the parent whose right child it is)
+        while stack:
+            nd, p = stack.pop()
+            i = len(nodes)
+            if p >= 0:
+                right[p] = i
+            nodes.append(nd)
+            right.append(-1)
+            lo.append(len(order))
+            if not nd.is_leaf:
+                stack += ((nd.right, i), (nd.left, -1))
+                continue
+            if nd.letter not in index:
+                raise ValidationError(f"code leaf {nd.letter!r} not in alphabet")
+            if nd.letter in seen:
+                raise ValidationError(f"duplicate code leaf {nd.letter!r}")
+            seen.add(nd.letter)
+            order.append(index[nd.letter])
+        if len(seen) != len(alphabet):
             raise ValidationError("code tree leaves must cover the alphabet exactly")
+        hi = [0] * len(nodes)
+        for i in reversed(range(len(nodes))):
+            hi[i] = hi[right[i]] if right[i] >= 0 else lo[i] + 1
+        self._nodes = nodes
+        self._right = right
+        self._lo = lo
+        self._hi = hi
+        self._order = order
 
     def internal_nodes(self) -> Iterator[CodeNode]:
-        stack = [self.root]
-        while stack:
-            nd = stack.pop()
-            if nd.is_leaf:
-                continue
-            yield nd
-            stack.append(nd.left)
-            stack.append(nd.right)
+        """Internal nodes in preorder, left branches first."""
+        return (nd for nd, r in zip(self._nodes, self._right) if r >= 0)
+
+    def _path_sums(self, zero, step) -> dict:
+        """By letter, ``zero`` plus ``step(i, side)`` over the nodes ``i`` on
+        the letter's root path, ``side`` the branch taken there (0 left)."""
+        acc = [zero] * len(self._nodes)
+        out = {}
+        for i, (nd, r) in enumerate(zip(self._nodes, self._right)):
+            if r < 0:
+                out[nd.letter] = acc[i]
+            else:
+                acc[i + 1] = acc[i] + step(i, 0)
+                acc[r] = acc[i] + step(i, 1)
+        return out
 
     def codewords(self) -> dict[Letter, str]:
-        out: dict[Letter, str] = {}
-
-        def walk(nd: CodeNode, word: str) -> None:
-            if nd.is_leaf:
-                out[nd.letter] = word
-                return
-            walk(nd.left, word + "0")
-            walk(nd.right, word + "1")
-
-        walk(self.root, "")
-        return out
+        return self._path_sums("", lambda i, side: "01"[side])
 
     def depths(self) -> dict[Letter, int]:
         return {a: len(w) for a, w in self.codewords().items()}
 
 
-def _expected_distance(
-    Dm: np.ndarray, p: np.ndarray, bi: np.ndarray, ci: np.ndarray
-) -> float:
-    """Expected distance between index sets under conditional weights; a
-    zero-mass side falls back to uniform weights."""
-
-    def w(idx: np.ndarray) -> np.ndarray:
-        v = p[idx]
-        t = v.sum()
-        if t > 0.0:
-            return v / t
-        return np.full(len(idx), 1.0 / len(idx))
-
-    return float(w(bi) @ Dm[np.ix_(bi, ci)] @ w(ci))
-
-
-class _Ctx:
-    """Shared arrays for code-tree evaluation over one (P, D) instance."""
-
-    __slots__ = ("alphabet", "p", "Dm", "index")
-
-    def __init__(self, P: Distribution, D: DistanceMatrix):
-        if P.alphabet != D.alphabet:
-            raise ValidationError("distribution and distance use different alphabets")
-        self.alphabet = P.alphabet
-        self.p = np.asarray(P.probs, dtype=float)
-        self.Dm = D.matrix
-        self.index = P.alphabet._index
-
-    def idx(self, nd: CodeNode) -> np.ndarray:
-        if nd._idx is None:
-            nd._idx = np.fromiter(
-                sorted(self.index[a] for a in nd.leaves), dtype=np.intp
-            )
-        return nd._idx
-
-    def vec(self, nd: CodeNode) -> np.ndarray:
-        """The rows pm = p * 1[leaves] and prof = D @ pm of a node, cached;
-        a parent's rows are the sums of its children's."""
-        if nd._vec is None:
-            if nd.is_leaf:
-                i = self.index[nd.letter]
-                nd._vec = np.zeros((2, len(self.p)))
-                nd._vec[0, i] = self.p[i]
-                nd._vec[1] = self.Dm[:, i] * self.p[i]
-            else:
-                nd._vec = self.vec(nd.left) + self.vec(nd.right)
-        return nd._vec
-
-    def node_cost(self, nd: CodeNode) -> float:
-        return _expected_distance(self.Dm, self.p, self.idx(nd.left), self.idx(nd.right))
-
-    def mass(self, nd: CodeNode) -> float:
-        return float(self.p[self.idx(nd)].sum())
+def _distance_table(C: CodeTree, P: Distribution, D: DistanceMatrix) -> list[tuple[float, float, float]]:
+    """(mass, left mass, expected distance between the branches) of every
+    position, zeros at leaves.  A node's branches own adjacent runs of the
+    leaf order, so its distances are one block of the matrix in that order."""
+    if C.alphabet != P.alphabet or C.alphabet != D.alphabet:
+        raise ValidationError("code tree, distribution, and distance must share an alphabet")
+    order = np.array(C._order, dtype=np.intp)
+    p = np.asarray(P.probs, dtype=float)[order]
+    Dl = D.matrix[np.ix_(order, order)]
+    rows = []
+    for i, r in enumerate(C._right):
+        if r < 0:
+            rows.append((0.0, 0.0, 0.0))
+            continue
+        a, m, b = C._lo[i], C._lo[r], C._hi[i]
+        (wl, ml), (wr, mr) = _weights(p[a:m]), _weights(p[m:b])
+        rows.append((ml + mr, ml, float(wl @ Dl[a:m, m:b] @ wr)))
+    return rows
 
 
 def mu_u(C: CodeTree, P: Distribution, D: DistanceMatrix) -> float:
     """Distance-weighted average code length:
     sum over internal nodes of P(A_c) * ExpDist(left, right)."""
-    _check_code_alphabets(C, P, D)
-    ctx = _Ctx(P, D)
-    return math.fsum(ctx.mass(nd) * ctx.node_cost(nd) for nd in C.internal_nodes())
+    return math.fsum(w * cost for w, _, cost in _distance_table(C, P, D))
 
 
 def lambda_u(C: CodeTree, P: Distribution, D: DistanceMatrix) -> float:
     """Entropy-discounted variant of :func:`mu_u`: each node's cost is
     scaled by the binary entropy of its branch masses."""
-    _check_code_alphabets(C, P, D)
-    ctx = _Ctx(P, D)
-    total = 0.0
-    for nd in C.internal_nodes():
-        w = ctx.mass(nd)
-        if w <= 0.0:
-            continue
-        wl = ctx.mass(nd.left)
-        total += w * ctx.node_cost(nd) * binary_entropy(wl / w)
-    return total
-
-
-def _check_code_alphabets(C: CodeTree, P: Distribution, D: DistanceMatrix) -> None:
-    if C.alphabet != P.alphabet or C.alphabet != D.alphabet:
-        raise ValidationError("code tree, distribution, and distance must share an alphabet")
+    return math.fsum(
+        w * cost * binary_entropy(wl / w) for w, wl, cost in _distance_table(C, P, D) if w > 0.0
+    )
 
 
 def distance_code_lengths(C: CodeTree, P: Distribution, D: DistanceMatrix) -> dict[Letter, float]:
     """Per-letter distance-weighted code length: the sum of node costs along
     the root-to-leaf path.  Satisfies sum_a P(a) * CL(a) = mu_u."""
-    _check_code_alphabets(C, P, D)
-    ctx = _Ctx(P, D)
-    out: dict[Letter, float] = {}
-
-    def walk(nd: CodeNode, acc: float) -> None:
-        if nd.is_leaf:
-            out[nd.letter] = acc
-            return
-        cost = ctx.node_cost(nd)
-        walk(nd.left, acc + cost)
-        walk(nd.right, acc + cost)
-
-    walk(C.root, 0.0)
-    return out
+    cost = [c for _, _, c in _distance_table(C, P, D)]
+    return C._path_sums(0.0, lambda i, side: cost[i])
 
 
 # ----------------------------------------------------- structure coding
 
 
-def _node_merit(nd: CodeNode, X: StructuredAlphabet) -> float:
-    """Split merit of a code node under the restricted structure; nodes the
-    decoder never reaches (zero mass) or whose split carries no entropy
-    contribute 0."""
-    P = X.P
-    if P.mass(nd.leaves) <= 0.0:
-        return 0.0
-    split = BinarySplit(nd.left.leaves, nd.right.leaves)
-    try:
-        return d_hat(split, X.S, P)
-    except DegenerateSplit:
-        return 0.0
+def _merit_table(C: CodeTree, X: StructuredAlphabet) -> list[tuple[float, float]]:
+    """(mass, split merit under the restricted structure) of every
+    position, zeros at leaves; nodes the decoder never reaches (zero mass)
+    or whose split carries no entropy have merit 0."""
+    if C.alphabet != X.alphabet:
+        raise ValidationError("code tree and structured alphabet disagree")
+    letters = [C.alphabet.letters[j] for j in C._order]
+    probs = [X.P.probs[j] for j in C._order]
+    rows = []
+    for i, r in enumerate(C._right):
+        w = merit = 0.0
+        if r >= 0:
+            a, m, b = C._lo[i], C._lo[r], C._hi[i]
+            w = math.fsum(probs[a:b])
+            if w > 0.0:
+                try:
+                    merit = d_hat(BinarySplit(letters[a:m], letters[m:b]), X.S, X.P)
+                except DegenerateSplit:
+                    pass
+        rows.append((w, merit))
+    return rows
 
 
 def esscl(C: CodeTree, X: StructuredAlphabet) -> float:
@@ -272,30 +252,14 @@ def esscl(C: CodeTree, X: StructuredAlphabet) -> float:
     sum over internal nodes of P(A_i) * merit(i).
 
     Never smaller than the structure entropy of ``X``."""
-    if C.alphabet != X.alphabet:
-        raise ValidationError("code tree and structured alphabet disagree")
-    return math.fsum(
-        X.P.mass(nd.leaves) * _node_merit(nd, X) for nd in C.internal_nodes()
-    )
+    return math.fsum(w * merit for w, merit in _merit_table(C, X))
 
 
 def code_lengths(C: CodeTree, X: StructuredAlphabet) -> dict[Letter, float]:
     """Per-letter structure-sensitive code length: the sum of node merits
     along the root-to-leaf path.  Satisfies sum_a P(a) * CL(a) = esscl."""
-    if C.alphabet != X.alphabet:
-        raise ValidationError("code tree and structured alphabet disagree")
-    out: dict[Letter, float] = {}
-
-    def walk(nd: CodeNode, acc: float) -> None:
-        if nd.is_leaf:
-            out[nd.letter] = acc
-            return
-        merit = _node_merit(nd, X)
-        walk(nd.left, acc + merit)
-        walk(nd.right, acc + merit)
-
-    walk(C.root, 0.0)
-    return out
+    merit = [m for _, m in _merit_table(C, X)]
+    return C._path_sums(0.0, lambda i, side: merit[i])
 
 
 # ------------------------------------------------------------- optimize
@@ -329,39 +293,37 @@ class _RestartGuard:
             )
 
 
-def _block_key(b: CodeNode, p_of: dict[Letter, float]):
-    mass = math.fsum(p_of[a] for a in b.leaves)
-    return (-mass, sorted(map(repr, b.leaves))[0])
+def _pair_blocks(blocks: list[tuple[float, str, CodeNode]]) -> CodeNode:
+    """Greedy probability balancing of (mass, least letter repr, node)
+    blocks: heaviest first, ties broken by letter, each block joins the
+    lighter side (the one with fewer blocks on equal masses), and each side
+    is paired in the same way."""
 
+    def split(group: list) -> list:
+        if len(group) < 3:
+            return [group[:1], group[1:]] if len(group) == 2 else []
+        sides: list[list] = [[], []]
+        masses = [0.0, 0.0]
+        for b in sorted(group, key=lambda b: (-b[0], b[1])):
+            pick = 0
+            if masses[1] < masses[0] or (masses[1] == masses[0] and len(sides[1]) < len(sides[0])):
+                pick = 1
+            sides[pick].append(b)
+            masses[pick] += b[0]
+        return sides
 
-def _pair_blocks(blocks: list[CodeNode], p_of: dict[Letter, float]) -> CodeNode:
-    if len(blocks) == 1:
-        return blocks[0]
-    if len(blocks) == 2:
-        return CodeNode(left=blocks[0], right=blocks[1])
-    ordered = sorted(blocks, key=lambda b: _block_key(b, p_of))
-    sides: list[list[CodeNode]] = [[], []]
-    masses = [0.0, 0.0]
-    for b in ordered:
-        pick = 0
-        if masses[1] < masses[0] or (masses[1] == masses[0] and len(sides[1]) < len(sides[0])):
-            pick = 1
-        sides[pick].append(b)
-        masses[pick] += math.fsum(p_of[a] for a in b.leaves)
-    return CodeNode(
-        left=_pair_blocks(sides[0], p_of), right=_pair_blocks(sides[1], p_of)
-    )
+    return _unfold(blocks, split, lambda g, kids: CodeNode(None, *kids) if kids else g[0][2])
 
 
 def code_tree_from_nesting(A: Alphabet, nesting) -> CodeTree:
     """Build a code tree from nested pairs, e.g. ((\"a\", \"b\"), \"c\")."""
 
-    def walk(x) -> CodeNode:
-        if isinstance(x, tuple) and len(x) == 2 and not (x in A._index):
-            return CodeNode(left=walk(x[0]), right=walk(x[1]))
-        return CodeNode(letter=x)
+    def parts(x):
+        return x if isinstance(x, tuple) and len(x) == 2 and not (x in A._index) else ()
 
-    return CodeTree(A, walk(nesting))
+    return CodeTree(
+        A, _unfold(nesting, parts, lambda x, kids: CodeNode(None, *kids) if kids else CodeNode(letter=x))
+    )
 
 
 def initial_code_tree(T: UltrametricTree, P: Distribution) -> CodeTree:
@@ -371,32 +333,20 @@ def initial_code_tree(T: UltrametricTree, P: Distribution) -> CodeTree:
     order) and pass-through chains skipped."""
     if P.alphabet != T.alphabet:
         raise ValidationError("distribution and tree use different alphabets")
-    p_of = P.as_mapping()
+    probs, letters, order = P.probs, T.alphabet.letters, T._order
 
     def binarize(i: int, blocks: list[CodeNode]) -> CodeNode:
-        # a pass-through node's one block is returned as it is
         if not blocks:
             return CodeNode(letter=T._nodes[i].letter)
-        return _pair_blocks(blocks, p_of)
+        if len(blocks) < 3:  # a pass-through node's one block is returned as it is
+            return blocks[0] if len(blocks) == 1 else CodeNode(None, *blocks)
+        runs = [order[T._lo[c]:T._hi[c]] for c in T._kids[i]]
+        return _pair_blocks([
+            (math.fsum(probs[j] for j in run), min(repr(letters[j]) for j in run), b)
+            for run, b in zip(runs, blocks)
+        ])
 
     return CodeTree(T.alphabet, T._fold(binarize))
-
-
-def _contrib(nd: CodeNode, ctx: _Ctx) -> float:
-    """Weighted cost of a subtree: P(A_c) * cost(c) summed over its internal
-    nodes, each costed from the distance submatrix.  Cached per node; nodes
-    are never mutated after creation, and nodes the search builds arrive
-    with their cost already cached from the split costs."""
-    if nd._contrib is None:
-        if nd.is_leaf:
-            nd._contrib = 0.0
-        else:
-            nd._contrib = (
-                ctx.mass(nd) * ctx.node_cost(nd)
-                + _contrib(nd.left, ctx)
-                + _contrib(nd.right, ctx)
-            )
-    return nd._contrib
 
 
 def _arrangements(blocks: list) -> Iterator[tuple]:
@@ -464,13 +414,15 @@ class _Shapes:
 _SHAPES = {k: _Shapes(k) for k in (3, 4)}
 
 
-def _split_costs(blocks: list[CodeNode], tab: _Shapes, ctx: _Ctx) -> np.ndarray:
+def _split_costs(
+    blocks: list[CodeNode], tab: _Shapes, P: Distribution, D: DistanceMatrix
+) -> np.ndarray:
     """Weighted cost P(X u Y) * ExpDist(X, Y) of every split in ``tab``.
 
     With block cross weights W[a, b] = pm_a @ prof_b, a split's cost is
-    (m_X + m_Y) * W(X, Y) / (m_X * m_Y); a side of zero mass falls back to
-    :func:`_expected_distance` and its uniform weights."""
-    V = np.stack([ctx.vec(b) for b in blocks])
+    (m_X + m_Y) * W(X, Y) / (m_X * m_Y); a split with a side of zero mass is
+    costed by :func:`~structent.ultrametric.set_distance` instead."""
+    V = np.stack([b._vec for b in blocks])
     W = V[:, 0] @ V[:, 1].T
     m = V[:, 0].sum(axis=1)
     mx, my = tab.X @ m, tab.Y @ m
@@ -482,70 +434,88 @@ def _split_costs(blocks: list[CodeNode], tab: _Shapes, ctx: _Ctx) -> np.ndarray:
         if mx[s] > 0.0 and my[s] > 0.0:
             cost[s] = (mx[s] + my[s]) * (w[s] / mx[s] / my[s])
         else:
-            bi = np.sort(np.concatenate([ctx.idx(b) for b, x in zip(blocks, xs) if x]))
-            ci = np.sort(np.concatenate([ctx.idx(b) for b, y in zip(blocks, ys) if y]))
-            cost[s] = (mx[s] + my[s]) * _expected_distance(ctx.Dm, ctx.p, bi, ci)
+            X, Y = ([a for b, x in zip(blocks, side) if x for a in b.leaves] for side in (xs, ys))
+            cost[s] = (mx[s] + my[s]) * set_distance(D, P, X, Y)
     return cost
 
 
-def _build(shape, blocks: list[CodeNode], tab: _Shapes, cost: np.ndarray) -> CodeNode:
-    """The code tree of one arrangement, each node's weighted cost cached
-    from the split costs."""
-    if not isinstance(shape, tuple):
-        return blocks[shape]
-    nd = CodeNode(
-        left=_build(shape[0], blocks, tab, cost), right=_build(shape[1], blocks, tab, cost)
-    )
-    s = tab.splits[_mask(shape[0]), _mask(shape[1])]
-    nd._contrib = float(cost[s]) + nd.left._contrib + nd.right._contrib
+def _join(L: CodeNode, R: CodeNode, contrib: float) -> CodeNode:
+    """A node the search builds, with its rows and weighted cost."""
+    nd = CodeNode(left=L, right=R)
+    nd._vec = L._vec + R._vec
+    nd._contrib = contrib
     return nd
 
 
+def _build(shape, blocks: list[CodeNode], tab: _Shapes, cost: np.ndarray) -> CodeNode:
+    """The code tree of one arrangement, each node's weighted cost taken
+    from the split costs."""
+    if not isinstance(shape, tuple):
+        return blocks[shape]
+    L, R = (_build(sh, blocks, tab, cost) for sh in shape)
+    s = tab.splits[_mask(shape[0]), _mask(shape[1])]
+    return _join(L, R, float(cost[s]) + L._contrib + R._contrib)
+
+
 def _optimize_node(
-    nd: CodeNode, ctx: _Ctx, guard: _RestartGuard, trace: OptimizeTrace
+    root: CodeNode, P: Distribution, D: DistanceMatrix, guard: _RestartGuard, trace: OptimizeTrace
 ) -> CodeNode:
-    if nd._opt or nd.is_leaf:
-        nd._opt = True
-        return nd
-    while True:
-        L = _optimize_node(nd.left, ctx, guard, trace)
-        R = _optimize_node(nd.right, ctx, guard, trace)
+    """Optimize the internal node ``root`` on an explicit stack of frames
+    [node, its optimized left branch or None].  A node's blocks are
+    rearranged once both its branches are optimized; when an arrangement
+    wins, the frame starts over on the rewritten node.  A node marked
+    ``_opt`` is not visited again."""
+    stack: list[list] = [[root, None]]
+    done = None  # what the frame closed last returned
+    while stack:
+        frame = stack[-1]
+        nd, L = frame
+        if done is None:  # visit the next branch
+            child = nd.left if L is None else nd.right
+            if child._opt or child.is_leaf:
+                child._opt = True
+                done = child
+            else:
+                stack.append([child, None])
+            continue
+        if L is None:
+            frame[1], done = done, None
+            continue
+        R, done = done, None
         blocks_l = [L] if L.is_leaf else [L.left, L.right]
-        blocks_r = [R] if R.is_leaf else [R.left, R.right]
-        blocks = blocks_l + blocks_r
-        if len(blocks) == 2:  # two leaves: L and R are nd's own children
-            nd._opt = True
-            return nd
-        tab = _SHAPES[len(blocks)]
-        cost = _split_costs(blocks, tab, ctx)
-        scores = cost[tab.uses].sum(axis=1)
-        inner = sum(_contrib(b, ctx) for b in blocks)
-        own = tab.own[len(blocks_l)]
-        base = inner + scores[own]
-        best = int(np.argmin(scores))
-        eps = 1e-12 * max(1.0, abs(base))
-        if inner + scores[best] < base - eps:
-            guard.bump()
-            trace.rewrites.append((float(base), float(inner + scores[best])))
-            nd = _build(tab.shapes[best], blocks, tab, cost)
-        else:
+        blocks = blocks_l + ([R] if R.is_leaf else [R.left, R.right])
+        if len(blocks) > 2:  # with two leaves, L and R are nd's own children
+            tab = _SHAPES[len(blocks)]
+            cost = _split_costs(blocks, tab, P, D)
+            scores = cost[tab.uses].sum(axis=1)
+            inner = sum(b._contrib for b in blocks)
+            own = tab.own[len(blocks_l)]
+            base = inner + scores[own]
+            best = int(np.argmin(scores))
+            if inner + scores[best] < base - 1e-12 * max(1.0, abs(base)):
+                guard.bump()
+                trace.rewrites.append((float(base), float(inner + scores[best])))
+                frame[:] = [_build(tab.shapes[best], blocks, tab, cost), None]
+                continue
             if L is not nd.left or R is not nd.right:
-                nd = CodeNode(left=L, right=R)
                 # the root split of the unrearranged shape is (L, R)
-                nd._contrib = float(cost[tab.uses[own, 0]]) + L._contrib + R._contrib
-            nd._opt = True
-            return nd
+                nd = _join(L, R, float(cost[tab.uses[own, 0]]) + L._contrib + R._contrib)
+        nd._opt = True
+        stack.pop()
+        done = nd
+    return done
 
 
 def optimize(T: UltrametricTree, P: Distribution) -> CodeTree:
     """Search for a low-cost code tree for an ultrametric source.
 
-    Starting from the ultrametric tree itself, every subtree is optimized
-    recursively; then the (up to four) grandchild blocks are cross-combined
-    in every full binary arrangement and the cheapest kept.  Whenever a
-    rearrangement wins, optimization of that subtree restarts from the
-    rewritten tree.  Ties favor the original tree, so the weighted cost
-    strictly decreases with every accepted rewrite and the search terminates.
+    Starting from the ultrametric tree itself, every subtree is optimized,
+    children first; then the (up to four) grandchild blocks are
+    cross-combined in every full binary arrangement and the cheapest kept.
+    Whenever a rearrangement wins, optimization of that subtree restarts
+    from the rewritten tree.  Ties favor the original tree, so the weighted
+    cost strictly decreases with every accepted rewrite and the search
+    terminates.
     """
     return optimize_with_trace(T, P)[0]
 
@@ -555,13 +525,24 @@ def optimize_with_trace(T: UltrametricTree, P: Distribution) -> tuple[CodeTree, 
         raise TooFewLetters("code optimization needs at least two letters")
     C0 = initial_code_tree(T, P)
     D = tree_to_distance(T)
-    ctx = _Ctx(P, D)
-    trace = OptimizeTrace()
-    trace.initial = _contrib(C0.root, ctx)
+    p = np.asarray(P.probs, dtype=float)
+    table = _distance_table(C0, P, D)
+    nodes, right = C0._nodes, C0._right
+    for i in reversed(range(len(nodes))):  # children first
+        nd, r = nodes[i], right[i]
+        if r < 0:
+            j = C0._order[C0._lo[i]]
+            nd._vec, nd._contrib = np.zeros((2, len(p))), 0.0
+            nd._vec[0, j], nd._vec[1] = p[j], D.matrix[:, j] * p[j]
+        else:
+            L, R = nodes[i + 1], nodes[r]
+            nd._vec = L._vec + R._vec
+            nd._contrib = table[i][0] * table[i][2] + L._contrib + R._contrib
+    trace = OptimizeTrace(initial=C0.root._contrib)
     n = len(T.alphabet)
     guard = _RestartGuard(cap=max(100, 10 * n * n))
-    root = _optimize_node(C0.root, ctx, guard, trace)
-    trace.final = _contrib(root, ctx)
+    root = _optimize_node(C0.root, P, D, guard, trace)
+    trace.final = root._contrib
     return CodeTree(T.alphabet, root), trace
 
 
@@ -680,13 +661,13 @@ def _write_violation(dirpath: str, index: int, rec: TrialRecord, T, P) -> str:
 # ------------------------------------------- block-coding exactness
 
 
-def _balanced_code(letters: list, lo: int, hi: int) -> CodeNode:
-    if hi - lo == 1:
-        return CodeNode(letter=letters[lo])
-    mid = (lo + hi) // 2
-    return CodeNode(
-        left=_balanced_code(letters, lo, mid), right=_balanced_code(letters, mid, hi)
-    )
+def _balanced_code(letters: list) -> CodeNode:
+    """The balanced code tree over a power-of-two number of letters:
+    neighbours are paired level by level."""
+    nodes = [CodeNode(letter=a) for a in letters]
+    while len(nodes) > 1:
+        nodes = [CodeNode(None, L, R) for L, R in zip(nodes[::2], nodes[1::2])]
+    return nodes[0]
 
 
 def typical_compression_check(X: StructuredAlphabet, m: int) -> tuple[float, float]:
@@ -710,5 +691,5 @@ def typical_compression_check(X: StructuredAlphabet, m: int) -> tuple[float, flo
     N = len(seq_alpha)
     P_m = Distribution(seq_alpha, [1.0 / N] * N)
     X_m = StructuredAlphabet(P_m, power_structure(X.S, m))
-    C = CodeTree(seq_alpha, _balanced_code(list(seq_alpha.letters), 0, N))
+    C = CodeTree(seq_alpha, _balanced_code(list(seq_alpha.letters)))
     return esscl(C, X_m) / m, h_s(X)

@@ -9,6 +9,7 @@ equal object.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -298,11 +299,45 @@ def _load_json(text: str, what: str) -> dict:
     return obj
 
 
+def _json_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ParseError(f"{what}: expected a list, got {value!r}")
+    return value
+
+
+def _json_letters(value, what: str) -> tuple:
+    """A list of letters: strings, numbers, booleans or null."""
+    for a in _json_list(value, what):
+        if isinstance(a, (list, dict)):
+            raise ParseError(f"{what}: a letter cannot be {a!r}")
+    return tuple(value)
+
+
+def _json_number(value, what: str) -> float:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise ParseError(f"{what}: expected a finite number, got {value!r}")
+
+
+def _json_rows(value, what: str) -> list[list]:
+    """A list of lists."""
+    for row in _json_list(value, what):
+        _json_list(row, what)
+    return value
+
+
 def parse_distribution_json(text: str) -> Distribution:
     obj = _load_json(text, "distribution JSON")
     if "alphabet" not in obj or "probs" not in obj:
         raise ParseError("distribution JSON needs 'alphabet' and 'probs'")
-    return Distribution(Alphabet(tuple(obj["alphabet"])), obj["probs"])
+    alpha = Alphabet(_json_letters(obj["alphabet"], "distribution JSON 'alphabet'"))
+    what = "distribution JSON 'probs'"
+    return Distribution(alpha, [_json_number(x, what) for x in _json_list(obj["probs"], what)])
 
 
 def distribution_to_json(P: Distribution) -> str:
@@ -315,12 +350,15 @@ def parse_structure_json(text: str) -> PartitionStructure:
     obj = _load_json(text, "structure JSON")
     if "alphabet" not in obj or "partitions" not in obj:
         raise ParseError("structure JSON needs 'alphabet' and 'partitions'")
-    alpha = Alphabet(tuple(obj["alphabet"]))
+    alpha = Alphabet(_json_letters(obj["alphabet"], "structure JSON 'alphabet'"))
     items = []
-    for k, entry in enumerate(obj["partitions"]):
+    for k, entry in enumerate(_json_list(obj["partitions"], "structure JSON 'partitions'")):
         if not isinstance(entry, dict) or "measure" not in entry or "components" not in entry:
             raise ParseError(f"partition {k}: needs 'measure' and 'components'")
-        items.append((Partition(alpha, entry["components"]), float(entry["measure"])))
+        what = f"partition {k}: 'components'"
+        blocks = [_json_letters(c, what) for c in _json_rows(entry["components"], what)]
+        measure = _json_number(entry["measure"], f"partition {k}: 'measure'")
+        items.append((Partition(alpha, blocks), measure))
     return PartitionStructure(alpha, items)
 
 
@@ -345,11 +383,13 @@ def parse_joint_json(text: str):
     for key in ("row_alphabet", "col_alphabet", "matrix"):
         if key not in obj:
             raise ParseError(f"joint JSON needs {key!r}")
-    return JointDistribution(
-        Alphabet(tuple(obj["row_alphabet"])),
-        Alphabet(tuple(obj["col_alphabet"])),
-        obj["matrix"],
-    )
+    rows = Alphabet(_json_letters(obj["row_alphabet"], "joint JSON 'row_alphabet'"))
+    cols = Alphabet(_json_letters(obj["col_alphabet"], "joint JSON 'col_alphabet'"))
+    what = "joint JSON 'matrix'"
+    matrix = [[_json_number(x, what) for x in row] for row in _json_rows(obj["matrix"], what)]
+    if any(len(row) != len(cols) for row in matrix):
+        raise ParseError(f"{what}: every row needs one value per column letter")
+    return JointDistribution(rows, cols, matrix)
 
 
 def parse_points_csv(text: str) -> tuple[tuple[float, ...], Optional[tuple[float, ...]]]:

@@ -12,7 +12,7 @@ import numpy as np
 
 from .alphabet import Alphabet, Distribution, Partition, PartitionStructure
 from .errors import TooFewLetters, ValidationError
-from .ultrametric import TreeNode, UltrametricTree, leaf, node
+from .ultrametric import UltrametricTree, _unfold, leaf, node
 
 
 def default_letters(n: int) -> Alphabet:
@@ -61,8 +61,11 @@ def random_structure(
     return PartitionStructure(A, list(zip(parts, w)))
 
 
-def _random_split(items: list, rng: np.random.Generator) -> tuple[list, list]:
+def _random_split(items: list, rng: np.random.Generator) -> tuple:
+    """Two non-empty random sides of ``items``; no sides for one item."""
     n = len(items)
+    if n < 2:
+        return ()
     while True:
         mask = rng.integers(0, 2, size=n).astype(bool)
         if 0 < mask.sum() < n:
@@ -77,46 +80,36 @@ def random_ultrametric_tree(
 ) -> UltrametricTree:
     """A random ultrametric tree over :func:`default_letters`.
 
-    The shape comes from recursive random binary splits of the letter set;
-    heights are uniform draws sorted in decreasing breadth-first order, so
-    they strictly decrease away from the root, then scaled so the root has
-    height 1 (unless ``normalized=False``, which keeps the raw root draw).
+    The shape comes from random binary splits of the letter set, drawn in
+    preorder with the left side first; heights are uniform draws sorted in
+    decreasing breadth-first order, so they strictly decrease away from the
+    root, then scaled so the root has height 1 (unless ``normalized=False``,
+    which keeps the raw root draw).
     """
     if n < 2:
         raise TooFewLetters("random trees need at least two letters")
     A = default_letters(n)
-
-    def shape(letters: list) -> TreeNode:
-        if len(letters) == 1:
-            return leaf(letters[0])
-        left, right = _random_split(letters, rng)
-        return node(0.0, [shape(left), shape(right)])
-
-    root = shape(list(A.letters))
-    internal: list[TreeNode] = []
-    queue = [root]
-    while queue:  # breadth-first order
-        nd = queue.pop(0)
-        if nd.is_leaf:
-            continue
-        internal.append(nd)
-        queue.extend(nd.children)
+    root = _unfold(
+        list(A.letters),
+        lambda xs: _random_split(xs, rng),
+        lambda xs, kids: node(0.0, kids) if kids else leaf(xs[0]),
+    )
+    internal = [root]
+    for nd in internal:  # breadth-first order
+        internal += [c for c in nd.children if not c.is_leaf]
     draws = np.sort(rng.uniform(0.05, 1.0, size=len(internal)))[::-1]
+    scale = 1.0 / float(draws[0]) if normalized else 1.0
     for nd, h in zip(internal, draws):
-        nd.height = float(h)
-    if normalized:
-        scale = 1.0 / root.height
-        for nd in internal:
-            nd.height *= scale
+        nd.height = float(h) * scale
     return UltrametricTree(A, root)
 
 
 def random_code_shape(letters: list, rng: np.random.Generator):
-    """Random strictly binary nesting of the letters, as nested pairs."""
-    if len(letters) == 1:
-        return letters[0]
-    left, right = _random_split(letters, rng)
-    return (random_code_shape(left, rng), random_code_shape(right, rng))
+    """Random strictly binary nesting of the letters, as nested pairs, the
+    splits drawn in preorder with the left side first."""
+    return _unfold(
+        letters, lambda xs: _random_split(xs, rng), lambda xs, kids: tuple(kids) if kids else xs[0]
+    )
 
 
 def random_joint_matrix(nrow: int, ncol: int, rng: np.random.Generator) -> np.ndarray:

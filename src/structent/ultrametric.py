@@ -21,10 +21,10 @@ root and positions follow the preorder of ``nodes()``; each position has a
 parent position (-1 for the root), a height, its child positions in the
 children's own order, and a ``[lo, hi)`` range into one depth-first order of
 the leaves, so every subtree owns a contiguous run of letters.  The tree
-algorithms read this view: masses and rebuilds run bottom-up over reversed
-positions, ``tree_to_distance`` fills whole cross-child blocks, and bands
-are cut from level indices, so no algorithm recurses and none builds the
-banded copy of a tree.
+algorithms read this view: masses run bottom-up over reversed positions,
+rebuilds fold children first on an explicit stack, ``tree_to_distance``
+fills whole cross-child blocks, and bands are cut from level indices, so no
+algorithm recurses and none builds the banded copy of a tree.
 """
 
 from __future__ import annotations
@@ -117,18 +117,18 @@ def set_distance(D: DistanceMatrix, P: Distribution, B: Iterable[Letter], C: Ite
         raise ValidationError("set distance needs non-empty sets")
     if Bs & Cs:
         raise ValidationError("set distance needs disjoint sets")
+    p = np.asarray(P.probs, dtype=float)
+    bi, ci = (sorted(D.alphabet.index_of(a) for a in S) for S in (Bs, Cs))
+    return float(_weights(p[bi])[0] @ D.matrix[np.ix_(bi, ci)] @ _weights(p[ci])[0])
 
-    def weights(S: frozenset) -> tuple[list[int], np.ndarray]:
-        idx = sorted(D.alphabet.index_of(a) for a in S)
-        w = np.array([P.probs[i] for i in idx], dtype=float)
-        tot = w.sum()
-        if tot > 0.0:
-            return idx, w / tot
-        return idx, np.full(len(idx), 1.0 / len(idx))
 
-    bi, bw = weights(Bs)
-    ci, cw = weights(Cs)
-    return float(bw @ D.matrix[np.ix_(bi, ci)] @ cw)
+def _weights(v: np.ndarray) -> tuple[np.ndarray, float]:
+    """Conditional weights over one side, uniform at zero mass, and the
+    side's mass."""
+    t = float(v.sum())
+    if t > 0.0:
+        return v / t, t
+    return np.full(len(v), 1.0 / len(v)), t
 
 
 class TreeNode:
@@ -136,23 +136,28 @@ class TreeNode:
     internal nodes carry a height and at least two children (pass-through
     nodes produced by banding have exactly one)."""
 
-    __slots__ = ("letter", "height", "children", "leaves", "passthrough")
+    __slots__ = ("letter", "height", "children", "passthrough")
 
     def __init__(self, letter=None, height: float = 0.0, children: tuple = (), passthrough: bool = False):
         self.letter = letter
         self.height = float(height)
         self.children = tuple(children)
         self.passthrough = passthrough
-        if len(self.children) == 1:  # frozensets are immutable: share it
-            self.leaves = self.children[0].leaves
-        elif self.children:
-            self.leaves = frozenset().union(*(c.leaves for c in self.children))
-        else:
-            self.leaves = frozenset((letter,))
 
     @property
     def is_leaf(self) -> bool:
         return not self.children
+
+    @property
+    def leaves(self) -> frozenset:
+        """The letters under this node, collected on each call."""
+        out, stack = [], [self]
+        while stack:
+            nd = stack.pop()
+            if nd.is_leaf:
+                out.append(nd.letter)
+            stack += nd.children
+        return frozenset(out)
 
     def __repr__(self) -> str:
         if self.is_leaf:
@@ -166,6 +171,23 @@ def leaf(letter: Letter) -> TreeNode:
 
 def node(height: float, children: Iterable[TreeNode]) -> TreeNode:
     return TreeNode(height=height, children=tuple(children))
+
+
+def _unfold(seed, split, make):
+    """Build the tree of ``seed`` from the top on an explicit stack.
+    ``split(x)`` lists the parts of item ``x`` (none at a leaf) and runs in
+    preorder, left parts first; ``make(x, [built parts])`` then builds ``x``."""
+    built: list = []
+    stack = [(seed, None)]
+    while stack:
+        x, k = stack.pop()
+        if k is None:  # split now, build once the parts are built
+            parts = split(x)
+            stack.append((x, len(parts)))
+            stack += [(y, None) for y in reversed(parts)]
+        else:
+            built[len(built) - k:] = [make(x, built[len(built) - k:])]
+    return built[0]
 
 
 class UltrametricTree:
@@ -230,10 +252,7 @@ class UltrametricTree:
     def _fold(self, f):
         """Evaluate ``f(i, [results of i's children])`` at every position,
         children first, and return the root's result."""
-        done: dict[int, object] = {}
-        for i in reversed(range(len(self._nodes))):
-            done[i] = f(i, [done.pop(c) for c in self._kids[i]])
-        return done[0]
+        return _unfold(0, self._kids.__getitem__, f)
 
     def _masses(self, P: Distribution) -> list[float]:
         """Probability mass of every subtree, by position; an internal mass
@@ -262,15 +281,14 @@ class UltrametricTree:
             yield nd, (nodes[p] if p >= 0 else None)
 
     def distance(self, a: Letter, b: Letter) -> float:
-        if a == b:
-            self.alphabet.index_of(a)
-            return 0.0
-        nd = self.root
-        while True:
-            holders = [c for c in nd.children if a in c.leaves and b in c.leaves]
-            if not holders:
-                return nd.height
-            nd = holders[0]
+        pa, pb = sorted(self._order.index(self.alphabet.index_of(x)) for x in (a, b))
+        i = 0
+        while pa != pb:  # descend while one child's leaf range holds both letters
+            c = next(c for c in self._kids[i] if self._lo[c] <= pa < self._hi[c])
+            if pb >= self._hi[c]:
+                return self._height[i]
+            i = c
+        return 0.0
 
     def rescaled(self, factor: float) -> "UltrametricTree":
         if factor <= 0.0:
@@ -481,8 +499,9 @@ def to_partition_structure(T: UltrametricTree) -> PartitionStructure:
         raise NotNormalized("tree root height must be 1")
     if len(T.alphabet) < 2:
         raise TooFewLetters("need at least two letters to form partitions")
+    letters = [T.alphabet.letters[j] for j in T._order]
     items = [
-        (Partition(T.alphabet, [T._nodes[i].leaves for i in floor]), width)
+        (Partition(T.alphabet, [letters[T._lo[i]:T._hi[i]] for i in floor]), width)
         for width, floor in _bands_from(T)
     ]
     return PartitionStructure(T.alphabet, items)
@@ -522,18 +541,19 @@ def check_binary_partition_minimality(
 def tree_equal(T1: UltrametricTree, T2: UltrametricTree, tol: float = HEIGHT_TOL) -> bool:
     """Structural equality up to child order and a height tolerance.
 
-    Node pairs wait on an explicit stack; the children of a pair are matched
-    by their first letter in alphabet order (siblings have disjoint leaves).
+    Position pairs wait on an explicit stack; the children of a pair are
+    matched by their first letter in alphabet order (siblings are disjoint).
     """
     if T1.alphabet != T2.alphabet:
         return False
 
-    def key(nd: TreeNode) -> int:
-        return min(map(T1.alphabet.index_of, nd.leaves))
+    def children(T: UltrametricTree, i: int) -> list[int]:
+        return sorted(T._kids[i], key=lambda c: min(T._order[T._lo[c]:T._hi[c]]))
 
-    stack = [(T1.root, T2.root)]
+    stack = [(0, 0)]
     while stack:
-        a, b = stack.pop()
+        i, j = stack.pop()
+        a, b = T1._nodes[i], T2._nodes[j]
         if a.is_leaf or b.is_leaf:
             if not (a.is_leaf and b.is_leaf and a.letter == b.letter):
                 return False
@@ -542,5 +562,5 @@ def tree_equal(T1: UltrametricTree, T2: UltrametricTree, tol: float = HEIGHT_TOL
             return False
         if len(a.children) != len(b.children):
             return False
-        stack.extend(zip(sorted(a.children, key=key), sorted(b.children, key=key)))
+        stack.extend(zip(children(T1, i), children(T2, j)))
     return True

@@ -382,6 +382,46 @@ def optimize_ref(root, dist, probs):
     return opt(root), rewrites
 
 
+def _random_split_ref(items, rng):
+    n = len(items)
+    while True:
+        mask = rng.integers(0, 2, size=n).astype(bool)
+        if 0 < mask.sum() < n:
+            break
+    return [x for x, m in zip(items, mask) if m], [x for x, m in zip(items, mask) if not m]
+
+
+def random_code_shape_ref(letters, rng):
+    """``sampling.random_code_shape`` by recursion: split, then the left
+    side, then the right side."""
+    if len(letters) == 1:
+        return letters[0]
+    left, right = _random_split_ref(letters, rng)
+    return (random_code_shape_ref(left, rng), random_code_shape_ref(right, rng))
+
+
+def random_ultrametric_tree_ref(letters, rng, normalized: bool = True):
+    """``sampling.random_ultrametric_tree`` by recursion, as nested
+    ``(height, left, right)`` tuples with letters at the leaves: the shape
+    of :func:`random_code_shape_ref`, then sorted heights in breadth-first
+    order."""
+    shape = random_code_shape_ref(list(letters), rng)
+    internal, queue = [], [shape]
+    while queue:
+        x = queue.pop(0)
+        if isinstance(x, tuple):
+            internal.append(x)
+            queue.extend(x)
+    draws = sorted(rng.uniform(0.05, 1.0, size=len(internal)), reverse=True)
+    scale = 1.0 / float(draws[0]) if normalized else 1.0
+    height = {id(x): float(h) * scale for x, h in zip(internal, draws)}
+
+    def build(x):
+        return (height[id(x)], build(x[0]), build(x[1])) if isinstance(x, tuple) else x
+
+    return build(shape)
+
+
 def huffman_expected_length(probs) -> float:
     """Expected codeword length of a Huffman code (classical optimum)."""
     if len(probs) == 1:

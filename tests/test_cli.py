@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from structent import (
+    ParseError,
     distribution_to_json,
     hu_arcwise,
     parse_distance_csv,
+    parse_distribution_json,
     parse_structure_json,
     structure_to_json,
     tree_to_newick,
@@ -466,6 +468,31 @@ class TestExitCodes:
         bad.write_text("{nope")
         code, _ = run(capsys, ["hu", "--tree", str(files["tree"]), "--probs", str(bad)])
         assert code == 2
+
+    @pytest.mark.parametrize("kind, text", [
+        ("structure", '{"alphabet": ["a", "b"], "partitions": [{"measure": 1, "components": 5}]}'),
+        ("structure", '{"alphabet": ["a", "b"], "partitions": [{"measure": "x", "components": [["a"], ["b"]]}]}'),
+        ("structure", '{"alphabet": ["a", ["b"]], "partitions": [{"measure": 1, "components": [["a"], ["b"]]}]}'),
+        ("structure", '{"alphabet": ["a", "b"], "partitions": 7}'),
+        ("distribution", '{"alphabet": ["a", "b"], "probs": "ab"}'),
+        ("distribution", '{"alphabet": ["a", "b"], "probs": [[0.5], [0.5]]}'),
+        ("distribution", '{"alphabet": ["a", "b"], "probs": [null, 1]}'),
+        ("distribution", '{"alphabet": 5, "probs": [1]}'),
+    ])
+    def test_malformed_field_is_parse_error(self, capsys, files, kind, text):
+        bad = files["tmp"] / "bad.json"
+        bad.write_text(text)
+        if kind == "structure":
+            parse = parse_structure_json
+            argv = ["hs", "--structure", str(bad), "--probs", str(files["uniform"])]
+        else:
+            parse = parse_distribution_json
+            argv = ["hu", "--tree", str(files["tree"]), "--probs", str(bad)]
+        with pytest.raises(ParseError):
+            parse(text)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ") and err.count("\n") == 1
 
     def test_invalid_distribution_is_validation_error(self, capsys, files):
         bad = files["tmp"] / "badp.json"

@@ -82,6 +82,39 @@ class TestCodeTree:
         with pytest.raises(ValidationError):
             code_tree_from_nesting(abcd, ((("a", "b"), ("c", "a")), "d"))
 
+    def test_leaves_are_the_letters_under_each_node(self):
+        rng = np.random.default_rng(76)
+        for _ in range(20):
+            C = random_code_tree(default_letters(int(rng.integers(2, 12))), rng)
+            words = C.codewords()
+            stack = [(C.root, "")]
+            while stack:
+                nd, prefix = stack.pop()
+                assert nd.leaves == {a for a, w in words.items() if w.startswith(prefix)}
+                if not nd.is_leaf:
+                    stack += [(nd.left, prefix + "0"), (nd.right, prefix + "1")]
+
+    def test_deep_nesting_chain(self, caterpillar):
+        # 2000 levels: building and costing the tree must not recurse per level
+        n = 2000
+        T = caterpillar(n)
+        A = T.alphabet
+        nesting = A.letters[0]
+        for a in A.letters[1:]:
+            nesting = (nesting, a)
+        C = code_tree_from_nesting(A, nesting)
+        words = C.codewords()
+        assert words[A.letters[0]] == "0" * (n - 1)
+        for k in range(1, n):
+            assert words[A.letters[k]] == "0" * (n - 1 - k) + "1"
+        P = random_distribution(A, np.random.default_rng(n))
+        D = tree_to_distance(T)
+        mu, lam = mu_u(C, P, D), lambda_u(C, P, D)
+        lens = distance_code_lengths(C, P, D)
+        assert hu_arcwise(T, P) <= lam + 1e-9
+        assert lam <= mu + 1e-9
+        assert math.fsum(P.p(a) * lens[a] for a in A.letters) == pytest.approx(mu, abs=1e-9)
+
 
 class TestMuLambda:
     def test_matched_tree_worked_value(self, abcd, uniform4, two_cluster_distance):
@@ -120,6 +153,26 @@ class TestMuLambda:
             )
             assert lambda_u(C, P, D) == pytest.approx(
                 oracles.lambda_recursive_ref(C.root, dist, probs), abs=1e-9
+            )
+
+    def test_tables_match_recursive_oracle_with_zero_mass_letters(self):
+        # exact zeros leave branches without mass, which the distance table
+        # weights uniformly
+        rng = np.random.default_rng(75)
+        for _ in range(80):
+            n = int(rng.integers(2, 12))
+            A = default_letters(n)
+            p = rng.dirichlet(np.ones(n)) * (rng.random(n) < 0.5)
+            p[int(rng.integers(n))] += 0.5
+            P = Distribution(A, p / p.sum())
+            D = random_symmetric_distance(A, rng)
+            C = random_code_tree(A, rng)
+            dist, probs = oracles.dist_dict(D), P.as_mapping()
+            assert mu_u(C, P, D) == pytest.approx(
+                oracles.mu_recursive_ref(C.root, dist, probs), abs=1e-12
+            )
+            assert lambda_u(C, P, D) == pytest.approx(
+                oracles.lambda_recursive_ref(C.root, dist, probs), abs=1e-12
             )
 
     def test_lambda_below_mu(self):
@@ -351,6 +404,36 @@ class TestOptimize:
         C = optimize(T, P)
         assert set(C.codewords()) == set(T.alphabet.letters)
         assert hu_arcwise(T, P) <= mu_u(C, P, tree_to_distance(T)) + 1e-12
+
+
+    def test_optimize_2000_leaf_caterpillar(self, caterpillar):
+        # 2000 levels at the default recursion limit
+        T = caterpillar(2000)
+        P = random_distribution(T.alphabet, np.random.default_rng(2000))
+        C, trace = optimize_with_trace(T, P)
+        assert set(C.codewords()) == set(T.alphabet.letters)
+        mu = mu_u(C, P, tree_to_distance(T))
+        assert trace.final == pytest.approx(mu, abs=1e-12)
+        hu = hu_arcwise(T, P)
+        assert hu <= mu <= hu + GAP_BOUND
+
+
+class TestSampling:
+    def test_draws_match_recursive_sampling(self):
+        # the explicit-stack generators draw their splits in the order of
+        # the recursive ones, so seeded trees and shapes are unchanged
+        for seed in range(200):
+            n = 2 + seed % 40
+            normalized = bool(seed % 2)
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            T = random_ultrametric_tree(n, rng, normalized=normalized)
+            got = T._fold(lambda i, kids: (T._height[i], *kids) if kids else T._nodes[i].letter)
+            assert got == oracles.random_ultrametric_tree_ref(
+                default_letters(n).letters, ref, normalized=normalized
+            )
+            letters = list(range(1 + seed % 30))
+            assert random_code_shape(letters, rng) == oracles.random_code_shape_ref(letters, ref)
+            assert rng.random() == ref.random()
 
 
 class TestBoundTrials:

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from structent import (
     Alignment,
@@ -260,6 +264,54 @@ class TestJointJson:
     def test_missing_key(self):
         with pytest.raises(ParseError, match="matrix"):
             parse_joint_json('{"row_alphabet": ["a"], "col_alphabet": ["x"]}')
+
+
+# Any JSON value, and fields that are often, but not always, well formed.
+JSON_VALUES = hst.recursive(
+    hst.none() | hst.booleans() | hst.integers() | hst.floats() | hst.sampled_from("abc"),
+    lambda kids: hst.lists(kids, max_size=4) | hst.dictionaries(hst.text(max_size=2), kids, max_size=2),
+    max_leaves=10,
+)
+LETTERS = hst.lists(hst.sampled_from("abc") | JSON_VALUES, max_size=4) | JSON_VALUES
+NUMBERS = hst.floats(0.0, 1.0) | JSON_VALUES
+
+
+def _rejects_only_as_input_errors(parse, payload) -> None:
+    try:
+        parse(json.dumps(payload))
+    except (ParseError, ValidationError):
+        pass
+
+
+class TestMalformedJsonFields:
+    """Whatever a JSON file holds, the parsers fail only with ParseError or
+    ValidationError."""
+
+    @given(hst.fixed_dictionaries({"alphabet": LETTERS, "probs": hst.lists(NUMBERS, max_size=4) | JSON_VALUES}))
+    @settings(max_examples=300, deadline=None)
+    def test_distribution(self, payload):
+        _rejects_only_as_input_errors(parse_distribution_json, payload)
+
+    @given(hst.fixed_dictionaries({
+        "alphabet": LETTERS,
+        "partitions": hst.lists(
+            hst.fixed_dictionaries({"measure": NUMBERS, "components": hst.lists(LETTERS, max_size=3) | JSON_VALUES})
+            | JSON_VALUES,
+            max_size=3,
+        ) | JSON_VALUES,
+    }))
+    @settings(max_examples=300, deadline=None)
+    def test_structure(self, payload):
+        _rejects_only_as_input_errors(parse_structure_json, payload)
+
+    @given(hst.fixed_dictionaries({
+        "row_alphabet": LETTERS,
+        "col_alphabet": LETTERS,
+        "matrix": hst.lists(hst.lists(NUMBERS, max_size=3) | JSON_VALUES, max_size=3) | JSON_VALUES,
+    }))
+    @settings(max_examples=300, deadline=None)
+    def test_joint(self, payload):
+        _rejects_only_as_input_errors(parse_joint_json, payload)
 
 
 class TestPointsCsv:

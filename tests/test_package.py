@@ -41,3 +41,52 @@ def test_no_unused_top_level_imports():
                 if name not in used:
                     unused.append(f"{path.name}:{stmt.lineno}: {name}")
     assert not unused, unused
+
+
+# Self-recursive helpers whose depth has a fixed bound.
+BOUNDED_RECURSION = {
+    # arrangements of at most four blocks
+    "coding._arrangements",
+    "coding._mask",
+    "coding._Shapes.__init__.walk",
+    "coding._build",
+    # as deep as the nesting of the payload the CLI itself builds
+    "cli._round12",
+}
+
+
+def _self_calls(tree: ast.Module, prefix: str) -> set:
+    """Qualified names of the functions, nested ones included, that call
+    themselves by name (methods through ``self`` or ``cls``)."""
+    found = set()
+    todo = [(tree, prefix, False)]
+    while todo:
+        scope, prefix, in_class = todo.pop()
+        for child in ast.iter_child_nodes(scope):
+            if isinstance(child, ast.ClassDef):
+                todo.append((child, prefix + child.name + ".", True))
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for call in ast.walk(child):
+                    f = getattr(call, "func", None)
+                    if in_class:
+                        hit = isinstance(f, ast.Attribute) and f.attr == child.name and (
+                            isinstance(f.value, ast.Name) and f.value.id in ("self", "cls")
+                        )
+                    else:
+                        hit = isinstance(f, ast.Name) and f.id == child.name
+                    if isinstance(call, ast.Call) and hit:
+                        found.add(prefix + child.name)
+                todo.append((child, prefix + child.name + ".", False))
+            else:
+                todo.append((child, prefix, in_class))
+    return found
+
+
+def test_no_unbounded_self_recursion():
+    """A function that calls itself once per level of a tree or a list
+    fails on deep valid input with RecursionError."""
+    src = pathlib.Path(structent.__file__).parent
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        found |= _self_calls(ast.parse(path.read_text()), path.stem + ".")
+    assert found <= BOUNDED_RECURSION, sorted(found - BOUNDED_RECURSION)
