@@ -9,7 +9,9 @@ Entropy-like quantities are computed in bits and converted for display when
 the ``STRUCTENT_LOG_BASE`` environment variable is ``e`` or ``10``; every
 summary records the base used.  Floats are printed at 12 significant digits
 and key order is fixed, so output is byte-identical across runs given the
-same inputs and seeds.
+same inputs and seeds.  JSON has no infinity or NaN, so an infinite or
+undefined value (a D_KL of +inf, the rate of an empty typical set) prints
+as ``null``.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -39,6 +42,7 @@ from .notions import (
 from .coding import (
     GAP_BOUND,
     GAP_TOL,
+    distance_code_lengths,
     esscl,
     initial_code_tree,
     lambda_u,
@@ -62,6 +66,7 @@ from .io import (
     parse_points_csv,
     parse_stockholm,
     parse_structure_json,
+    structure_to_json,
     tree_to_newick,
 )
 from .linear import LinearAlphabet, collapse_duplicate_points, h_r, h_r_sample
@@ -95,8 +100,8 @@ def _log_base() -> tuple[str, float]:
 
 
 def _round12(x):
-    if isinstance(x, float):
-        return float(f"{x:.12g}")
+    if isinstance(x, float):  # JSON has no NaN or infinity: they print as null
+        return float(f"{x:.12g}") if math.isfinite(x) else None
     if isinstance(x, dict):
         return {k: _round12(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -161,8 +166,6 @@ def _cmd_hu(args) -> int:
             "bandwise": f * hu_bandwise(T, P),
         }
     if args.out_structure:
-        from .io import structure_to_json
-
         _write(args.out_structure, structure_to_json(to_partition_structure(T)) + "\n")
         out["structure_file"] = args.out_structure
     _emit(out)
@@ -303,8 +306,6 @@ def _cmd_code(args) -> int:
         out["H_S"] = f * h_s(X)
     if args.out:
         words = C.codewords()
-        from .coding import distance_code_lengths
-
         lengths = distance_code_lengths(C, P, D)
         lines = ["letter,codeword,depth,distance_length,probability"]
         for a in T.alphabet:
@@ -446,25 +447,11 @@ def _cmd_conserve(args) -> int:
         "log_base": base,
     }
     if args.out:
-        if f == 1.0:
-            _write(args.out, report.to_csv())
-        else:
-            scaled = report.__class__(
-                report.gap_mode,
-                report.coverage_threshold,
-                tuple(
-                    c.__class__(
-                        c.index,
-                        c.coverage,
-                        f * c.h_u,
-                        f * c.h,
-                        None if c.h_reduced is None else f * c.h_reduced,
-                        c.flagged,
-                    )
-                    for c in report.columns
-                ),
-            )
-            _write(args.out, scaled.to_csv())
+        scaled = tuple(
+            replace(c, h_u=f * c.h_u, h=f * c.h, h_reduced=None if c.h_reduced is None else f * c.h_reduced)
+            for c in report.columns
+        )
+        _write(args.out, replace(report, columns=scaled).to_csv())
         out["report_file"] = args.out
     _emit(out)
     return 0

@@ -521,10 +521,14 @@ def optimize(T: UltrametricTree, P: Distribution) -> CodeTree:
 
 
 def optimize_with_trace(T: UltrametricTree, P: Distribution) -> tuple[CodeTree, OptimizeTrace]:
+    return _optimize_on(T, P, tree_to_distance(T))
+
+
+def _optimize_on(T: UltrametricTree, P: Distribution, D: DistanceMatrix) -> tuple[CodeTree, OptimizeTrace]:
+    """:func:`optimize_with_trace` given the tree's distance matrix."""
     if len(T.alphabet) < 2:
         raise TooFewLetters("code optimization needs at least two letters")
     C0 = initial_code_tree(T, P)
-    D = tree_to_distance(T)
     p = np.asarray(P.probs, dtype=float)
     table = _distance_table(C0, P, D)
     nodes, right = C0._nodes, C0._right
@@ -619,6 +623,8 @@ def run_bound_trials(
     """
     if n_min < 2 or n_max < n_min:
         raise ValidationError("need 2 <= n_min <= n_max")
+    if count < 0 or seed < 0:
+        raise ValidationError("need a non-negative count and seed")
     master = np.random.default_rng(seed)
     report = TrialReport(seed=seed, count=count, n_range=(n_min, n_max))
     for k in range(count):
@@ -627,28 +633,27 @@ def run_bound_trials(
         n = int(rng.integers(n_min, n_max + 1))
         T = sampling.random_ultrametric_tree(n, rng)
         P = sampling.random_distribution(T.alphabet, rng)
-        C, _ = optimize_with_trace(T, P)
         D = tree_to_distance(T)
+        C, _ = _optimize_on(T, P, D)
         hu = hu_arcwise(T, P)
         mu = mu_u(C, P, D)
         rec = TrialRecord(seed=inst_seed, n=n, hu=hu, mu=mu)
         report.records.append(rec)
         if rec.gap > GAP_BOUND + GAP_TOL:
-            path = _write_violation(violations_dir or ".", k, rec, T, P)
+            path = _write_violation(violations_dir or ".", k, rec, D, P)
             report.violation_files.append(path)
     return report
 
 
-def _write_violation(dirpath: str, index: int, rec: TrialRecord, T, P) -> str:
+def _write_violation(dirpath: str, index: int, rec: TrialRecord, D: DistanceMatrix, P: Distribution) -> str:
     os.makedirs(dirpath, exist_ok=True)
-    D = tree_to_distance(T)
     payload = {
         "seed": rec.seed,
         "n": rec.n,
         "hu": rec.hu,
         "mu": rec.mu,
         "gap": rec.gap,
-        "alphabet": [repr(a) for a in T.alphabet.letters],
+        "alphabet": [repr(a) for a in D.alphabet.letters],
         "distance": D.matrix.tolist(),
         "probs": list(P.probs),
     }

@@ -149,9 +149,9 @@ def _newick_tail(cur: _NewickCursor) -> tuple[str, Optional[float]]:
     while cur.peek() and cur.peek() in "0123456789.eE+-":
         cur.pos += 1
     try:
-        return name, float(cur.text[start:cur.pos])
+        return name, _finite(cur.text[start:cur.pos])
     except ValueError:
-        raise cur.error("malformed branch length") from None
+        raise cur.error("malformed or non-finite branch length") from None
 
 
 def parse_newick(text: str, lengths: str = "arc") -> UltrametricTree:
@@ -217,6 +217,8 @@ def parse_newick(text: str, lengths: str = "arc") -> UltrametricTree:
         raise ValidationError(
             f"newick leaves are not equidistant from the root ({dmin} vs {dmax})"
         )
+    if not math.isfinite(factor * (dmax - min(depth))):
+        raise ValidationError("newick: the tree height overflows")
 
     built: list[Optional[TreeNode]] = [None] * len(parent)
     for i in reversed(range(len(parent))):
@@ -275,9 +277,9 @@ def parse_distance_csv(text: str) -> DistanceMatrix:
             raise ParseError(f"line {i}: expected {n} values, found {len(cells)}")
         for j, c in enumerate(cells):
             try:
-                m[i - 2, j] = float(c)
+                m[i - 2, j] = _finite(c)
             except ValueError:
-                raise ParseError(f"line {i}, column {j + 1}: not a number: {c!r}") from None
+                raise ParseError(f"line {i}, column {j + 1}: not a finite number: {c!r}") from None
     return DistanceMatrix(Alphabet(tuple(header)), m)
 
 
@@ -409,14 +411,22 @@ def parse_points_csv(text: str) -> tuple[tuple[float, ...], Optional[tuple[float
         if len(cells) != (2 if two_col else 1):
             raise ParseError(f"line {ln}: inconsistent column count")
         try:
-            pts.append(float(cells[0]))
+            pts.append(_finite(cells[0]))
             if two_col:
-                probs.append(float(cells[1]))
+                probs.append(_finite(cells[1]))
         except ValueError:
-            raise ParseError(f"line {ln}: not a number") from None
+            raise ParseError(f"line {ln}: not a finite number") from None
     if not pts:
         raise ParseError("no points found")
     return tuple(pts), (tuple(probs) if two_col else None)
+
+
+def _finite(text: str) -> float:
+    """The number a text cell spells; ValueError unless finite, as in :func:`_json_number`."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"not finite: {text!r}")
+    return x
 
 
 def _is_number(s: str) -> bool:

@@ -4,8 +4,9 @@ A strictly increasing point set induces a partition structure of threshold
 splits: cutting between consecutive points yields a binary partition whose
 measure is the gap width.  Every notion here is the corresponding
 structure-weighted notion on that induced structure, so the real-line theory
-is a special case of the general one; the fast paths below are checked
-against that reduction in the tests.
+is a special case of the general one.  The joint notions are computed that
+way, as the general notions on the two induced structures; the one-sided
+notions sum the threshold binaries directly along cumulative masses.
 """
 
 from __future__ import annotations
@@ -26,11 +27,12 @@ from .errors import (
 )
 from .notions import (
     JointDistribution,
+    StructuredJoint,
     binary_entropy,
-    conditional_entropy,
-    joint_entropy,
+    h_s_conditional,
+    h_s_joint,
+    i_s,
     kl_divergence,
-    mutual_information,
 )
 
 
@@ -45,6 +47,8 @@ class LinearAlphabet:
         pts = tuple(float(x) for x in points)
         if len(pts) < 2:
             raise TooFewPoints("a linear alphabet needs at least two points")
+        if not all(map(math.isfinite, pts)) or not math.isfinite(max(pts) - min(pts)):
+            raise ValidationError("points must be finite, with a span that fits in a float")
         for x, y in zip(pts, pts[1:]):
             if y == x:
                 raise DuplicateValues(f"duplicate point {x!r}")
@@ -109,15 +113,21 @@ def h_r(A: LinearAlphabet, P: Distribution) -> float:
     return total
 
 
+def _induced_joint(A: LinearAlphabet, B: LinearAlphabet, J: JointDistribution) -> StructuredJoint:
+    if J.row_alphabet != A.alphabet or J.col_alphabet != B.alphabet:
+        raise ValidationError("joint alphabets must be the two linear point sets")
+    return StructuredJoint(J, linear_structure(A), linear_structure(B))
+
+
 def h_r_joint(A: LinearAlphabet, B: LinearAlphabet, J: JointDistribution) -> float:
     """Joint real-line entropy: product-gap weighted entropy of every 2x2
     threshold reduction of the joint."""
-    return _r_double(A, B, J, joint_entropy)
+    return h_s_joint(_induced_joint(A, B, J))
 
 
 def i_r(A: LinearAlphabet, B: LinearAlphabet, J: JointDistribution) -> float:
     """Real-line mutual information over threshold pairs."""
-    return _r_double(A, B, J, mutual_information)
+    return i_s(_induced_joint(A, B, J))
 
 
 def h_r_conditional(
@@ -125,28 +135,7 @@ def h_r_conditional(
 ) -> float:
     """Real-line conditional entropy H(A|B) (or H(B|A)), as the general
     structure-weighted conditional on the two induced structures."""
-    if direction not in ("row|col", "col|row"):
-        raise ValidationError("direction must be 'row|col' or 'col|row'")
-    if direction == "row|col":
-        return _r_double(A, B, J, conditional_entropy)
-    return _r_double(A, B, J, lambda m: conditional_entropy(np.asarray(m).T))
-
-
-def _r_double(A: LinearAlphabet, B: LinearAlphabet, J: JointDistribution, kernel) -> float:
-    if J.row_alphabet != A.alphabet or J.col_alphabet != B.alphabet:
-        raise ValidationError("joint alphabets must be the two linear point sets")
-    m = J.matrix
-    total = 0.0
-    for i, ga in enumerate(A.gaps(), start=1):
-        for j, gb in enumerate(B.gaps(), start=1):
-            red = np.array(
-                [
-                    [m[:i, :j].sum(), m[:i, j:].sum()],
-                    [m[i:, :j].sum(), m[i:, j:].sum()],
-                ]
-            )
-            total += ga * gb * kernel(red)
-    return total
+    return h_s_conditional(_induced_joint(A, B, J), direction)
 
 
 def dkl_r(A: LinearAlphabet, P1: Distribution, P2: Distribution) -> float:
@@ -169,13 +158,8 @@ def dkl_r(A: LinearAlphabet, P1: Distribution, P2: Distribution) -> float:
 def h_r_sample(points: Sequence[float]) -> float:
     """Entropy of a bare sample: the real-line entropy of the points under
     the empirical uniform distribution (mass 1/n each)."""
-    pts = sorted(float(x) for x in points)
+    pts = LinearAlphabet(sorted(float(x) for x in points)).points
     n = len(pts)
-    if n < 2:
-        raise TooFewPoints("sample entropy needs at least two points")
-    for x, y in zip(pts, pts[1:]):
-        if y == x:
-            raise DuplicateValues(f"duplicate sample value {x!r}")
     return math.fsum(
         (pts[i] - pts[i - 1]) * binary_entropy(i / n) for i in range(1, n)
     )

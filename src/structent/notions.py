@@ -6,6 +6,10 @@ reduced distribution, and sum weighted by the partition measures.  Under the
 traditional structure (singletons, measure 1) each notion collapses exactly
 to its classical counterpart.
 
+The joint notions read one pair table per :class:`StructuredJoint`, which
+reduces each pair of partitions once to the entropies of its reduced joint
+and of that joint's row and column sums.
+
 All logarithms are base 2; values are in bits.  The conventions
 0 * log(0) = 0 and 0 * log(0/0) = 0 apply throughout.
 """
@@ -14,7 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from functools import cached_property
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -30,7 +35,8 @@ from .alphabet import (
 )
 from .errors import AlphabetMismatch, NotNormalized, ValidationError
 
-LOG2 = math.log(2.0)
+#: joint cells reduced per ``bincount`` in a pair table: bounds its temporaries
+_BATCH_CELLS = 1 << 22
 
 
 # ---------------------------------------------------------------- kernels
@@ -48,22 +54,6 @@ def binary_entropy(p: float) -> float:
     if p <= 0.0 or p >= 1.0:
         return 0.0
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
-
-
-def joint_entropy(matrix: np.ndarray) -> float:
-    return entropy(np.asarray(matrix, dtype=float).ravel())
-
-
-def conditional_entropy(matrix: np.ndarray) -> float:
-    """H(row | column) of a joint probability matrix."""
-    m = np.asarray(matrix, dtype=float)
-    return joint_entropy(m) - entropy(m.sum(axis=0))
-
-
-def mutual_information(matrix: np.ndarray) -> float:
-    """I(row; column) of a joint probability matrix."""
-    m = np.asarray(matrix, dtype=float)
-    return entropy(m.sum(axis=1)) + entropy(m.sum(axis=0)) - joint_entropy(m)
 
 
 def kl_divergence(p: Sequence[float], q: Sequence[float]) -> float:
@@ -154,6 +144,34 @@ class StructuredJoint:
         if self.SB.alphabet != self.joint.col_alphabet:
             raise AlphabetMismatch("column structure uses a different alphabet")
 
+    @cached_property
+    def _pairs(self) -> list[tuple[float, float, float, float]]:
+        """(mA * mB, H(reduced joint), H(its row sums), H(its column sums))
+        for every pair of positive-measure partitions, row partitions
+        outermost.  One ``bincount`` per row partition reduces the joint
+        through many column partitions: cell (i, j) of column partition b
+        goes to bin ``start[b] + rowlabel[i] * k[b] + collabel[b, j]``, so a
+        bin adds the cells :meth:`JointDistribution.reduced` adds, in its order."""
+        mB = [m for m in self.SB.measures if m > 0.0]
+        LB = self.SB.labels[np.array(self.SB.measures) > 0.0]
+        kB = LB.max(axis=1) + 1
+        step = max(1, _BATCH_CELLS // self.joint.matrix.size)  # column partitions per bincount
+        weights = np.tile(self.joint.matrix.ravel(), min(step, len(mB)))
+        pairs = []
+        for sA, mA in ((s, m) for s, m in self.SA.items() if m > 0.0):
+            kA = len(sA)
+            for b0 in range(0, len(mB), step):
+                k = kB[b0 : b0 + step]
+                start = np.cumsum(kA * k) - kA * k
+                bins = (start[:, None] + k[:, None] * sA.labels)[:, :, None] + LB[b0 : b0 + step, None, :]
+                red = np.bincount(bins.ravel(), weights=weights[: bins.size])
+                flat = red.tolist()
+                for lo, kb, m in zip(start.tolist(), k.tolist(), mB[b0 : b0 + step]):
+                    block = red[lo : lo + kA * kb].reshape(kA, kb)
+                    hs = entropy(flat[lo : lo + kA * kb]), entropy(block.sum(axis=1)), entropy(block.sum(axis=0))
+                    pairs.append((mA * m, *hs))
+        return pairs
+
 
 def h_s(X: StructuredAlphabet) -> float:
     """Structure entropy: sum over partitions of measure(s) * H(P reduced by s)."""
@@ -165,20 +183,10 @@ def h_s_of(P: Distribution, S: PartitionStructure) -> float:
     return math.fsum(m * entropy(reduced_probs(P, s)) for s, m in S.items() if m > 0.0)
 
 
-def _reduced_pairs(J: StructuredJoint) -> Iterator[tuple[float, np.ndarray]]:
-    """(mA * mB, reduced joint) for every pair of positive-measure
-    partitions, row partitions outermost."""
-    for sA, mA in J.SA.items():
-        if mA > 0.0:
-            for sB, mB in J.SB.items():
-                if mB > 0.0:
-                    yield mA * mB, J.joint.reduced(sA, sB)
-
-
 def h_s_joint(J: StructuredJoint) -> float:
     """Joint structure entropy: both sides reduced, weighted by the product
     of the two partition measures."""
-    return math.fsum(w * joint_entropy(red) for w, red in _reduced_pairs(J))
+    return math.fsum(w * hj for w, hj, _, _ in J._pairs)
 
 
 def h_s_conditional(J: StructuredJoint, direction: str = "row|col") -> float:
@@ -191,15 +199,15 @@ def h_s_conditional(J: StructuredJoint, direction: str = "row|col") -> float:
     if direction not in ("row|col", "col|row"):
         raise ValidationError("direction must be 'row|col' or 'col|row'")
     total = 0.0
-    for w, red in _reduced_pairs(J):
-        total += w * conditional_entropy(red.T if direction == "col|row" else red)
+    for w, hj, hrow, hcol in J._pairs:
+        total += w * (hj - (hrow if direction == "col|row" else hcol))
     return total
 
 
 def i_s(J: StructuredJoint) -> float:
     """Structure mutual information: measure-weighted classical mutual
     information of every reduced joint."""
-    return math.fsum(w * mutual_information(red) for w, red in _reduced_pairs(J))
+    return math.fsum(w * (hrow + hcol - hj) for w, hj, hrow, hcol in J._pairs)
 
 
 def d_kl_s(X: StructuredAlphabet, Q: Distribution) -> float:

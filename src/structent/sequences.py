@@ -141,8 +141,8 @@ def _surprisal_table(space: SequenceSpace, cap: int) -> np.ndarray:
 
 def typical_set(space: SequenceSpace, epsilon: float, cap: int = ENUMERATION_CAP) -> TypicalSetSummary:
     """Count and weigh the typical sequences by exact enumeration."""
-    if epsilon < 0.0:
-        raise ValidationError("epsilon must be non-negative")
+    if not 0.0 <= epsilon < math.inf:
+        raise ValidationError(f"epsilon must be finite and non-negative, got {epsilon!r}")
     H = space.base_entropy
     N = space.length
     if N == 0:
@@ -158,8 +158,8 @@ def typical_set_sampled(
 ) -> TypicalSetSummary:
     """Approximate typical-set mass by Monte Carlo (count is the number of
     typical draws, not a set size).  Use when the space exceeds the cap."""
-    if epsilon < 0.0 or n_samples < 1:
-        raise ValidationError("need epsilon >= 0 and at least one sample")
+    if not (0.0 <= epsilon < math.inf and n_samples >= 1):
+        raise ValidationError("need a finite epsilon >= 0 and at least one sample")
     rng = np.random.default_rng(seed)
     H = space.base_entropy
     N = space.length
@@ -224,8 +224,8 @@ def equivalence_class_stats(
     classes of about 2^(N H_S) members each; at finite N this reports the
     exact count and the min/max class size spread.
     """
-    if N < 1:
-        raise ValidationError("need N >= 1")
+    if N < 1 or not 0.0 <= epsilon < math.inf:
+        raise ValidationError("need N >= 1 and a finite epsilon >= 0")
     space = pair_space(P, S, N)
     k = len(space.symbols)
     if space.size > cap:

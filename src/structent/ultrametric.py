@@ -57,8 +57,8 @@ class DistanceMatrix:
         n = len(alphabet)
         if m.shape != (n, n):
             raise ValidationError("distance matrix shape must match the alphabet")
-        if np.isnan(m).any() or (m < -1e-12).any():
-            raise ValidationError("distances must be non-negative")
+        if not (m >= -1e-12).all() or not math.isfinite(float(m.max()) * m.size):  # sums stay finite
+            raise ValidationError("distances must be non-negative, and n * n times the largest a finite float")
         if not np.allclose(m, m.T, rtol=0.0, atol=1e-9):
             raise ValidationError("distance matrix must be symmetric")
         if np.abs(np.diag(m)).max() > 1e-12:
@@ -76,14 +76,14 @@ class DistanceMatrix:
     def _ultrametric_witness(self) -> Optional[tuple]:
         """A triple (a, b, c) violating the ultrametric inequality, or None."""
         m = self.matrix
-        # violation: D(a,b) > max(D(a,c), D(b,c)) + tol for some c
-        best = np.maximum(m[:, None, :], m[None, :, :])  # best[a,b,c]
+        # violation: D(a,b) > max(D(a,c), D(b,c)) + tol for some c; one a at a
+        # time keeps the temporaries n x n
         tol = HEIGHT_TOL * max(1.0, float(m.max() or 1.0))
-        bad = best < (m[:, :, None] - tol)
-        if not bad.any():
-            return None
-        a, b, c = np.argwhere(bad)[0]
-        return (self.alphabet.letters[a], self.alphabet.letters[b], self.alphabet.letters[c])
+        for a in range(len(m)):
+            bad = np.argwhere(np.maximum(m[a], m) < (m[a] - tol)[:, None])  # violating (b, c)
+            if len(bad):
+                return tuple(self.alphabet.letters[k] for k in (a, *bad[0]))
+        return None
 
     @property
     def is_ultrametric(self) -> bool:

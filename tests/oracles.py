@@ -92,6 +92,24 @@ def banded_structure_ref(D, tol: float = 1e-9) -> list:
     return out
 
 
+def ultrametric_witness_ref(D):
+    """The first triple (a, b, c), in row-major order, with
+    D(a, b) > max(D(a, c), D(b, c)) + tol, from one n x n x n broadcast; None
+    when there is none.  ``tol`` is the library's height tolerance, scaled
+    by the largest distance."""
+    import numpy as np
+
+    from structent.ultrametric import HEIGHT_TOL
+
+    m = D.matrix
+    best = np.maximum(m[:, None, :], m[None, :, :])  # best[a, b, c]
+    tol = HEIGHT_TOL * max(1.0, float(m.max() or 1.0))
+    bad = best < (m[:, :, None] - tol)
+    if not bad.any():
+        return None
+    return tuple(D.alphabet.letters[k] for k in np.argwhere(bad)[0])
+
+
 def dist_dict(D) -> dict:
     letters = D.alphabet.letters
     return {
@@ -478,6 +496,32 @@ def h_r_ref(points, probs) -> float:
     for i in range(len(points) - 1):
         cum += probs[i]
         total += (points[i + 1] - points[i]) * binary_entropy_ref(cum)
+    return total
+
+
+def real_line_joint_ref(points_a, points_b, matrix, notion: str) -> float:
+    """A real-line joint notion by the threshold-pair slice-sum loop.
+
+    Cutting after the i-th point of A and the j-th point of B reduces the
+    joint to the 2x2 matrix of its four corner block sums.  ``notion``
+    picks that matrix's classical value: ``"joint"`` entropy, ``"mutual"``
+    information, or the conditional entropy ``"row|col"`` or ``"col|row"``;
+    each is weighted by the product of the two gaps."""
+    rows, cols = len(points_a), len(points_b)
+
+    def block(r0, r1, c0, c1):
+        return sum(matrix[r][c] for r in range(r0, r1) for c in range(c0, c1))
+
+    total = 0.0
+    for i in range(1, rows):
+        for j in range(1, cols):
+            red = [[block(0, i, 0, j), block(0, i, j, cols)], [block(i, rows, 0, j), block(i, rows, j, cols)]]
+            hj = entropy_ref([x for row in red for x in row])
+            hrow = entropy_ref([sum(row) for row in red])
+            hcol = entropy_ref([red[0][k] + red[1][k] for k in range(2)])
+            value = {"joint": hj, "mutual": hrow + hcol - hj, "row|col": hj - hcol, "col|row": hj - hrow}[notion]
+            gap_a, gap_b = points_a[i] - points_a[i - 1], points_b[j] - points_b[j - 1]
+            total += gap_a * gap_b * value
     return total
 
 

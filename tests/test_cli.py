@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+
+import textgen
 
 from structent import (
     ParseError,
@@ -515,3 +523,150 @@ class TestExitCodes:
             main(["--version"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("structent ")
+
+
+def strict_json(text: str):
+    """Parse stdout as strict JSON: NaN and the infinities are rejected."""
+
+    def reject(name):
+        raise ValueError(f"stdout holds {name}, which is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestNonFiniteInput:
+    """Non-finite numbers and out-of-range counts fail as input errors
+    instead of printing NaN or infinity or raising a raw exception."""
+
+    @pytest.mark.parametrize(
+        "name, text, argv, expected",
+        [
+            ("pts.csv", "0\nnan\n1\n", ["itr", "--points", "{f}"], 2),
+            ("pts.csv", "0,0.5\ninf,0.5\n", ["itr", "--points", "{f}"], 2),
+            ("pts.csv", "-1e308\n0\n1e308\n", ["itr", "--points", "{f}"], 1),
+            ("pts.csv", "-1e308,0.5\n1e308,0.5\n", ["itr", "--points", "{f}"], 1),
+            ("t.nwk", "(a:1e400,b:1e400);", ["hu", "--tree", "{f}", "--probs", "{p}"], 2),
+            ("t.nwk", "(a:1e308,b:1e308);", ["hu", "--tree", "{f}", "--probs", "{p}"], 1),
+            ("d.csv", ",a,b\na,0,inf\nb,inf,0\n", ["distance", "--matrix", "{f}"], 2),
+            ("d.csv", ",a,b\na,0,nan\nb,nan,0\n", ["distance", "--matrix", "{f}", "--probs", "{p}"], 2),
+            ("-", "", ["sequences", "--probs", "{p}", "--length", "3", "--epsilon", "nan"], 1),
+            ("-", "", ["sequences", "--probs", "{p}", "--length", "3", "--epsilon", "inf"], 1),
+            ("-", "", ["sequences", "--probs", "{p}", "--length", "3", "--epsilon", "-0.1"], 1),
+            ("-", "", ["trials", "--count", "2", "--seed", "-1", "--max-n", "5"], 1),
+            ("-", "", ["trials", "--count", "-1", "--seed", "3", "--max-n", "5"], 1),
+        ],
+    )
+    def test_exit_code_and_no_summary(self, capsys, tmp_path, name, text, argv, expected):
+        f = tmp_path / name
+        f.write_text(text)
+        p = tmp_path / "p.json"
+        p.write_text('{"alphabet": ["a", "b"], "probs": [0.5, 0.5]}')
+        argv = [a.format(f=f, p=p) for a in argv] + (["--violations-dir", str(tmp_path)] if argv[0] == "trials" else [])
+        assert main(argv) == expected
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+
+    def test_infinite_divergence_prints_null(self, capsys, tmp_path):
+        S = tmp_path / "s.json"
+        S.write_text('{"alphabet": ["a", "b"], "partitions": [{"measure": 1.0, "components": [["a"], ["b"]]}]}')
+        P, Q = tmp_path / "p.json", tmp_path / "q.json"
+        P.write_text('{"alphabet": ["a", "b"], "probs": [0.5, 0.5]}')
+        Q.write_text('{"alphabet": ["a", "b"], "probs": [1.0, 0.0]}')
+        assert main(["notions", "--structure", str(S), "--probs", str(P), "--probs2", str(Q)]) == 0
+        assert strict_json(capsys.readouterr().out)["D_KL"] is None
+
+    def test_empty_typical_set_rate_prints_null(self, capsys, tmp_path):
+        P = tmp_path / "p.json"
+        P.write_text('{"alphabet": ["a", "b"], "probs": [0.3, 0.7]}')
+        assert main(["sequences", "--probs", str(P), "--length", "2", "--epsilon", "0"]) == 0
+        out = strict_json(capsys.readouterr().out)
+        assert out["count"] == 0 and out["rate"] is None
+
+
+def main_on_files(files: dict, argv: list) -> int:
+    """Run ``main`` with each ``@name`` argument replaced by a file holding
+    ``files[name]``.  The exit code must be 0, 1, 2 or 64, no exception may
+    escape, and whatever reaches stdout must be strict JSON."""
+    with tempfile.TemporaryDirectory() as d:
+        for name, text in files.items():
+            with open(os.path.join(d, name), "w") as fh:
+                fh.write(text)
+        argv = [os.path.join(d, a[1:]) if a.startswith("@") else a for a in argv]
+        if argv[0] == "trials":
+            argv += ["--violations-dir", d]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as e:  # argparse usage errors
+                code = e.code
+    assert code in (0, 1, 2, 64)
+    for line in out.getvalue().splitlines():
+        strict_json(line)
+    return code
+
+
+def distribution_text(letters, probs) -> str:
+    return json.dumps({"alphabet": list(letters), "probs": list(probs)})
+
+
+DISTRIBUTIONS = hst.sampled_from([(0.5, 0.5, 0.0), (1.0, 0.0, 0.0), (0.2, 0.3, 0.5), (0.25, 0.25, 0.5)])
+HALVES = '{"alphabet": ["a", "b", "c"], "partitions": [' \
+    '{"measure": 0.5, "components": [["a"], ["b", "c"]]}, {"measure": 0.5, "components": [["a", "b"], ["c"]]}]}'
+
+
+class TestGeneratedFiles:
+    """cli.main on generated files: only input errors, and strict JSON."""
+
+    @given(textgen.newick_trees(), hst.sampled_from(["arc", "L"]), hst.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_hu(self, tree, lengths, uniform):
+        text, letters = tree
+        probs = [1.0 / len(letters)] * len(letters) if uniform else [1.0] + [0.0] * (len(letters) - 1)
+        main_on_files(
+            {"t.nwk": text, "p.json": distribution_text(letters, probs)},
+            ["hu", "--tree", "@t.nwk", "--probs", "@p.json", "--lengths", lengths, "--forms"],
+        )
+
+    @given(textgen.distance_csvs(), hst.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_distance_and_code(self, matrix, with_probs):
+        text, letters = matrix
+        files = {"d.csv": text, "p.json": distribution_text(letters, [1.0 / len(letters)] * len(letters))}
+        main_on_files(files, ["distance", "--matrix", "@d.csv"] + (["--probs", "@p.json"] if with_probs else []))
+        main_on_files(files, ["code", "--matrix", "@d.csv", "--probs", "@p.json", "--optimize"])
+
+    @given(textgen.points_csvs(), hst.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_itr(self, text, collapse):
+        main_on_files({"pts.csv": text}, ["itr", "--points", "@pts.csv"] + (["--collapse"] if collapse else []))
+
+    @given(DISTRIBUTIONS, hst.integers(-1, 5), textgen.NUMBER_TEXT, hst.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_sequences(self, probs, length, epsilon, with_structure):
+        files = {"p.json": distribution_text("abc", probs), "s.json": HALVES}
+        argv = ["sequences", "--probs", "@p.json", "--length", str(length), "--epsilon", epsilon]
+        main_on_files(files, argv + (["--structure", "@s.json"] if with_structure else []))
+
+    @given(DISTRIBUTIONS, DISTRIBUTIONS)
+    @settings(max_examples=30, deadline=None)
+    def test_divergence(self, p, q):
+        files = {"s.json": HALVES, "p.json": distribution_text("abc", p), "q.json": distribution_text("abc", q)}
+        main_on_files(files, ["notions", "--structure", "@s.json", "--probs", "@p.json", "--probs2", "@q.json"])
+
+    @given(
+        hst.integers(-2, 3),
+        hst.sampled_from(["-1", "0", "7", str(2**64), "x"]),
+        hst.integers(1, 6),
+        hst.integers(1, 6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_trials(self, count, seed, n_min, n_max):
+        argv = ["trials", "--count", str(count), "--seed", seed, "--min-n", str(n_min), "--max-n", str(n_max)]
+        main_on_files({}, argv)
+
+    @given(textgen.FASTA_TEXT | textgen.STOCKHOLM_TEXT, hst.sampled_from(["skip", "extra-letter"]))
+    @settings(max_examples=150, deadline=None)
+    def test_conserve(self, text, gap_mode):
+        main_on_files({"aln.txt": text}, ["conserve", "--aln", "@aln.txt", "--gap-mode", gap_mode])

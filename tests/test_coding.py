@@ -477,6 +477,24 @@ class TestBoundTrials:
         with pytest.raises(ValidationError):
             run_bound_trials(count=1, n_min=5, n_max=4, seed=0)
 
+    def test_negative_count_or_seed_rejected(self):
+        for count, seed in ((-1, 0), (1, -1)):
+            with pytest.raises(ValidationError, match="non-negative"):
+                run_bound_trials(count=count, n_min=3, n_max=4, seed=seed)
+
+    def test_one_distance_matrix_per_trial(self, tmp_path, monkeypatch):
+        import structent.coding as coding
+
+        trees = []
+        real = coding.tree_to_distance
+        monkeypatch.setattr(coding, "tree_to_distance", lambda T: trees.append(T) or real(T))
+        monkeypatch.setattr(coding, "GAP_BOUND", -2.0)  # write every trial out as a violation
+        report = run_bound_trials(count=6, n_min=3, n_max=9, seed=5, violations_dir=str(tmp_path))
+        assert len(trees) == 6 and report.violations == 6
+        for path, T in zip(report.violation_files, trees):
+            with open(path) as fh:
+                assert json.load(fh)["distance"] == real(T).matrix.tolist()
+
 
 class TestBlockCoding:
     def test_mixed_structure_two_blocks(self, uniform4, mixed_structure):
@@ -533,7 +551,7 @@ class TestViolationSerialization:
         T = random_ultrametric_tree(5, rng)
         P = random_distribution(T.alphabet, rng)
         rec = TrialRecord(seed=123, n=5, hu=1.0, mu=2.5)
-        path = _write_violation(str(tmp_path), 0, rec, T, P)
+        path = _write_violation(str(tmp_path), 0, rec, tree_to_distance(T), P)
         with open(path) as fh:
             payload = json.load(fh)
         assert payload["seed"] == 123

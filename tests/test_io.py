@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+import textgen
 from structent import (
     Alignment,
     Alphabet,
@@ -165,6 +167,17 @@ class TestNewick:
         with pytest.raises(ValidationError):
             parse_newick(TWO_CLUSTER_NEWICK, lengths="edge")
 
+    def test_overflowing_branch_length(self):
+        with pytest.raises(ParseError, match="non-finite branch length"):
+            parse_newick("(a:1e400,b:1e400);")
+
+    def test_overflowing_height(self):
+        parse_newick("(a:1e308,b:1e308);", lengths="L")
+        with pytest.raises(ValidationError, match="height overflows"):
+            parse_newick("(a:1e308,b:1e308);")  # arc lengths double into heights
+        with pytest.raises(ValidationError, match="height overflows"):
+            parse_newick("((a:1e308,b:1e308):1e308,(c:1e308,d:1e308):1e308);", lengths="L")
+
 
 class TestDistanceCsv:
     def test_round_trip(self, two_cluster_distance):
@@ -194,6 +207,11 @@ class TestDistanceCsv:
     def test_wrong_row_count(self):
         with pytest.raises(ParseError, match="rows"):
             parse_distance_csv("a,b\n0,0.5\n")
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "1e400"])
+    def test_non_finite_cell(self, cell):
+        with pytest.raises(ParseError, match="line 2, column 2: not a finite number"):
+            parse_distance_csv(f"a,b\n0,{cell}\n{cell},0\n")
 
     def test_empty(self):
         with pytest.raises(ParseError):
@@ -341,3 +359,56 @@ class TestPointsCsv:
     def test_empty(self):
         with pytest.raises(ParseError, match="no points"):
             parse_points_csv("x\n")
+
+    @pytest.mark.parametrize("text", ["0\nnan\n1\n", "0,0.5\n1,inf\n", "0\n1e400\n", "nan\n0\n1\n"])
+    def test_non_finite_value(self, text):
+        with pytest.raises(ParseError, match="not a finite number"):
+            parse_points_csv(text)
+
+
+class TestMalformedText:
+    """Whatever a text file holds, the parsers fail only with ParseError or
+    ValidationError, and every number they return is finite."""
+
+    @given(textgen.newick_trees().map(lambda t: t[0]) | textgen.NEWICK_JUNK, hst.sampled_from(["arc", "L"]))
+    @settings(max_examples=300, deadline=None)
+    def test_newick(self, text, lengths):
+        try:
+            T = parse_newick(text, lengths=lengths)
+        except (ParseError, ValidationError):
+            return
+        assert math.isfinite(T.height)
+
+    @given(textgen.distance_csvs().map(lambda t: t[0]) | hst.text(alphabet="ab,01.\n-inf", max_size=30))
+    @settings(max_examples=300, deadline=None)
+    def test_distance_csv(self, text):
+        try:
+            D = parse_distance_csv(text)
+        except (ParseError, ValidationError):
+            return
+        assert np.isfinite(D.matrix).all()
+
+    @given(textgen.points_csvs())
+    @settings(max_examples=300, deadline=None)
+    def test_points_csv(self, text):
+        try:
+            pts, probs = parse_points_csv(text)
+        except (ParseError, ValidationError):
+            return
+        assert all(map(math.isfinite, pts + (probs or ())))
+
+    @given(textgen.FASTA_TEXT)
+    @settings(max_examples=200, deadline=None)
+    def test_fasta(self, text):
+        try:
+            parse_fasta(text)
+        except (ParseError, ValidationError):
+            pass
+
+    @given(textgen.STOCKHOLM_TEXT)
+    @settings(max_examples=200, deadline=None)
+    def test_stockholm(self, text):
+        try:
+            parse_stockholm(text)
+        except (ParseError, ValidationError):
+            pass

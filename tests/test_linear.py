@@ -66,6 +66,15 @@ class TestLinearAlphabet:
         with pytest.raises(ValidationError):
             LinearAlphabet((0.0, 0.7, 0.3))
 
+    @pytest.mark.parametrize(
+        "points", [(0.0, math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0), (-1e308, 0.0, 1e308)]
+    )
+    def test_rejects_non_finite_points_and_span(self, points):
+        with pytest.raises(ValidationError, match="finite"):
+            LinearAlphabet(points)
+        with pytest.raises(ValidationError, match="finite"):
+            h_r_sample(points)
+
     def test_normalized_flag(self):
         assert LinearAlphabet((0.0, 0.3, 1.0)).is_normalized
         assert not LinearAlphabet((0.0, 0.3, 0.9)).is_normalized
@@ -219,6 +228,30 @@ class TestJointNotions:
                 assert h_r_conditional(A, B, J, direction) == pytest.approx(
                     h_s_conditional(SJ, direction), abs=1e-12
                 )
+
+    def test_slice_sum_oracle(self):
+        rng = np.random.default_rng(87)
+        for k in range(40):
+            A, B, J = self.make_joint(rng, n=int(rng.integers(2, 8)), m=int(rng.integers(2, 8)))
+            mat = J.matrix.copy()
+            if k % 2:  # exact zero cells
+                mat[rng.random(mat.shape) < 0.4] = 0.0
+                mat[0, 0] += 1.0 - mat.sum()
+                J = JointDistribution(A.alphabet, B.alphabet, mat)
+            ref = lambda notion: oracles.real_line_joint_ref(A.points, B.points, mat.tolist(), notion)
+            assert h_r_joint(A, B, J) == pytest.approx(ref("joint"), abs=1e-12)
+            assert i_r(A, B, J) == pytest.approx(ref("mutual"), abs=1e-12)
+            for direction in ("row|col", "col|row"):
+                assert h_r_conditional(A, B, J, direction) == pytest.approx(ref(direction), abs=1e-12)
+
+    def test_alphabet_and_direction_checks(self):
+        rng = np.random.default_rng(88)
+        A, B, J = self.make_joint(rng)
+        for call in (h_r_joint, i_r, h_r_conditional):
+            with pytest.raises(ValidationError, match="joint alphabets must be the two linear point sets"):
+                call(B, A, J)
+        with pytest.raises(ValidationError, match="direction"):
+            h_r_conditional(A, B, J, "row")
 
     def test_independent_uniform_pair(self):
         A = LinearAlphabet((0.0, 1.0))

@@ -240,6 +240,91 @@ class TestJoint:
             )
 
 
+def joint_with_zeros(rng):
+    """A random StructuredJoint with exact zero cells and some zero-measure
+    partitions on each side."""
+    from structent.sampling import default_letters
+
+    n, m = int(rng.integers(2, 9)), int(rng.integers(2, 9))
+    mat = random_joint_matrix(n, m, rng)
+    mat[rng.random((n, m)) < 0.4] = 0.0
+    mat[0, 0] += 1.0 - mat.sum()
+    A, B = default_letters(n), Alphabet(tuple(f"B{i}" for i in range(m)))
+    sides = []
+    for X in (A, B):
+        S = random_structure(X, rng, normalized=False)
+        sides.append(PartitionStructure(X, [(s, 0.0 if rng.random() < 0.2 else w) for s, w in S.items()]))
+    return StructuredJoint(JointDistribution(A, B, mat), *sides)
+
+
+def per_pair_values(J):
+    """The four joint notions with one JointDistribution.reduced call per
+    pair of positive-measure partitions, in the per-pair loop's expressions
+    and summation order."""
+    pairs = [
+        (mA * mB, J.joint.reduced(sA, sB))
+        for sA, mA in J.SA.items() if mA > 0.0
+        for sB, mB in J.SB.items() if mB > 0.0
+    ]
+    joint = math.fsum(w * entropy(red.ravel()) for w, red in pairs)
+    cond = []
+    for direction in ("row|col", "col|row"):
+        total = 0.0
+        for w, red in pairs:
+            r = red.T if direction == "col|row" else red
+            total += w * (entropy(r.ravel()) - entropy(r.sum(axis=0)))
+        cond.append(total)
+    mutual = math.fsum(
+        w * (entropy(red.sum(axis=1)) + entropy(red.sum(axis=0)) - entropy(red.ravel())) for w, red in pairs
+    )
+    return (joint, *cond, mutual)
+
+
+def four_notions(J):
+    return (h_s_joint(J), h_s_conditional(J, "row|col"), h_s_conditional(J, "col|row"), i_s(J))
+
+
+class TestPairTable:
+    """All four joint notions read one table of per-pair entropies."""
+
+    def test_bit_identical_to_per_pair_reduction(self):
+        rng = np.random.default_rng(91)
+        for _ in range(200):
+            J = joint_with_zeros(rng)
+            assert four_notions(J) == per_pair_values(J)
+
+    def test_each_pair_reduced_once(self, monkeypatch):
+        rng = np.random.default_rng(92)
+        J = joint_with_zeros(rng)
+        while not (any(J.SA.measures) and any(J.SB.measures)):
+            J = joint_with_zeros(rng)
+        expected = per_pair_values(J)
+        calls = []
+        bincount = np.bincount
+        monkeypatch.setattr(np, "bincount", lambda *a, **k: calls.append(1) or bincount(*a, **k))
+        monkeypatch.setattr(JointDistribution, "reduced", None)
+        assert four_notions(J) == expected
+        assert four_notions(J) == expected
+        rows = sum(m > 0.0 for m in J.SA.measures)
+        assert len(calls) == rows  # one bincount per row partition, all notions
+        assert len(J._pairs) == rows * sum(m > 0.0 for m in J.SB.measures)
+
+    def test_column_partitions_split_across_bincounts(self, monkeypatch):
+        import structent.notions as notions
+
+        rng = np.random.default_rng(93)
+        joints = [joint_with_zeros(rng) for _ in range(40)]
+        monkeypatch.setattr(notions, "_BATCH_CELLS", 1)  # one column partition per bincount
+        for J in joints:
+            assert four_notions(J) == per_pair_values(J)
+
+    def test_no_positive_partition_on_a_side(self):
+        rng = np.random.default_rng(94)
+        J = joint_with_zeros(rng)
+        for SA, SB in ((PartitionStructure(J.SA.alphabet), J.SB), (J.SA, PartitionStructure(J.SB.alphabet))):
+            assert four_notions(StructuredJoint(J.joint, SA, SB)) == (0.0, 0.0, 0.0, 0.0)
+
+
 class TestConditional:
     def test_independent_reduces_to_marginal(self):
         rng = np.random.default_rng(27)

@@ -75,6 +75,39 @@ class TestDistanceMatrix:
         D = DistanceMatrix(A, [[0, 1, 4], [1, 0, 2], [4, 2, 0]])
         assert not D.is_ultrametric
 
+    def test_witness_matches_broadcast_oracle(self):
+        rng = np.random.default_rng(71)
+        for k in range(120):
+            n = int(rng.integers(3, 25))
+            if k % 3 == 0:  # uniform random distances: violations almost everywhere
+                m = rng.uniform(0.0, 1.0, (n, n))
+                m = np.triu(m, 1) + np.triu(m, 1).T
+            else:  # one perturbed pair of an ultrametric: few violations, or none
+                m = tree_to_distance(random_ultrametric_tree(n, rng)).matrix.copy()
+                a, b = rng.choice(n, size=2, replace=False)
+                m[a, b] = m[b, a] = m[a, b] * float(rng.choice([0.5, 1.0, 1.5]))
+            D = DistanceMatrix(default_letters(n), m)
+            assert D._ultrametric_witness() == oracles.ultrametric_witness_ref(D)
+
+    def test_witness_temporaries_stay_quadratic(self):
+        import tracemalloc
+
+        n = 400
+        D = tree_to_distance(random_ultrametric_tree(n, np.random.default_rng(72)))
+        tracemalloc.start()
+        try:
+            assert D._ultrametric_witness() is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n * 8  # the n x n x n broadcast needs over 600 MB here
+
+    @pytest.mark.parametrize("x", [math.inf, 1e308])
+    def test_distances_beyond_float_range_rejected(self, x):
+        A = Alphabet(("a", "b", "c"))
+        with pytest.raises(ValidationError, match="finite"):
+            DistanceMatrix(A, [[0, 1, x], [1, 0, x], [x, x, 0]])
+
     def test_asymmetric_rejected(self):
         A = Alphabet(("a", "b"))
         with pytest.raises(ValidationError):

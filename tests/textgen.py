@@ -1,0 +1,71 @@
+"""Hypothesis strategies for the text files the parsers and the CLI read.
+
+Each strategy mostly builds a file of the right shape, so that the fields
+reach the number readers and the validators behind them, and fills the
+number fields from a pool rich in edge cases: nan, infinities, overflow,
+negatives and junk.
+"""
+
+from __future__ import annotations
+
+from hypothesis import strategies as hst
+
+NUMBER_TEXT = hst.sampled_from(
+    ["0", "0.25", "0.5", "1", "-1", "1e-300", "1e308", "-1e308", "1e400", "nan", "inf", "-inf", "x", ""]
+) | hst.floats().map(repr)
+
+
+@hst.composite
+def newick_trees(draw) -> tuple[str, list[str]]:
+    """(Newick text, leaf names).  Either a cherry whose two arcs share one
+    length, so the leaves are equidistant whatever that length is, or a
+    random shape with independent lengths."""
+    if draw(hst.booleans()):
+        x = draw(NUMBER_TEXT)
+        return f"(a0:{x},a1:{x});", ["a0", "a1"]
+    n = draw(hst.integers(2, 5))
+    names = [f"a{k}" for k in range(n)]
+    nodes = list(names)
+    while len(nodes) > 1:
+        k = draw(hst.integers(2, min(3, len(nodes))))
+        i = draw(hst.integers(0, len(nodes) - k))
+        nodes[i : i + k] = ["(" + ",".join(f"{g}:{draw(NUMBER_TEXT)}" for g in nodes[i : i + k]) + ")"]
+    return nodes[0] + ";", names
+
+
+NEWICK_JUNK = hst.text(alphabet="(),:;ab01e.+-nif \n", max_size=30)
+
+
+@hst.composite
+def distance_csvs(draw) -> tuple[str, list[str]]:
+    """(distance CSV text, letters): a symmetric matrix with a zero
+    diagonal, rows labelled or not."""
+    n = draw(hst.integers(1, 4))
+    letters = [f"a{k}" for k in range(n)]
+    cells = [["0"] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            cells[i][j] = cells[j][i] = draw(NUMBER_TEXT)
+    labelled = draw(hst.booleans())
+    lines = ["," + ",".join(letters) if labelled else ",".join(letters)]
+    lines += [(letters[i] + "," if labelled else "") + ",".join(row) for i, row in enumerate(cells)]
+    return "\n".join(lines) + "\n", letters
+
+
+@hst.composite
+def points_csvs(draw) -> str:
+    """Points CSV: an optional header, then rows of one or two cells."""
+    width = draw(hst.sampled_from([1, 2]))
+    rows = draw(hst.lists(hst.lists(NUMBER_TEXT, min_size=width, max_size=width), min_size=1, max_size=5))
+    header = ["value,probability"] if draw(hst.booleans()) else []
+    return "\n".join(header + [",".join(r) for r in rows]) + "\n"
+
+
+RESIDUES = hst.text(alphabet="ACDGWY-.xz ", min_size=0, max_size=8)
+FASTA_TEXT = hst.lists(
+    hst.one_of(RESIDUES.map(lambda r: ">" + r), RESIDUES, hst.just("")), max_size=6
+).map(lambda lines: "\n".join(lines) + "\n")
+STOCKHOLM_TEXT = hst.lists(
+    hst.one_of(hst.tuples(hst.sampled_from(["s1", "s2", "#=GC"]), RESIDUES).map(" ".join), hst.just("//"), RESIDUES),
+    max_size=6,
+).map(lambda lines: "\n".join(["# STOCKHOLM 1.0"] + lines) + "\n")
