@@ -151,25 +151,31 @@ class StructuredJoint:
         outermost.  One ``bincount`` per row partition reduces the joint
         through many column partitions: cell (i, j) of column partition b
         goes to bin ``start[b] + rowlabel[i] * k[b] + collabel[b, j]``, so a
-        bin adds the cells :meth:`JointDistribution.reduced` adds, in its order."""
+        bin adds the cells :meth:`JointDistribution.reduced` adds, in its order.
+        Column partitions go in by size: one ``sum`` per axis covers a size."""
         mB = [m for m in self.SB.measures if m > 0.0]
         LB = self.SB.labels[np.array(self.SB.measures) > 0.0]
         kB = LB.max(axis=1) + 1
+        order = np.argsort(kB, kind="stable")  # blocks of one size side by side
+        LB, kB = LB[order], kB[order]
         step = max(1, _BATCH_CELLS // self.joint.matrix.size)  # column partitions per bincount
         weights = np.tile(self.joint.matrix.ravel(), min(step, len(mB)))
         pairs = []
         for sA, mA in ((s, m) for s, m in self.SA.items() if m > 0.0):
-            kA = len(sA)
+            kA, row = len(sA), [None] * len(mB)
             for b0 in range(0, len(mB), step):
                 k = kB[b0 : b0 + step]
                 start = np.cumsum(kA * k) - kA * k
                 bins = (start[:, None] + k[:, None] * sA.labels)[:, :, None] + LB[b0 : b0 + step, None, :]
                 red = np.bincount(bins.ravel(), weights=weights[: bins.size])
-                flat = red.tolist()
-                for lo, kb, m in zip(start.tolist(), k.tolist(), mB[b0 : b0 + step]):
-                    block = red[lo : lo + kA * kb].reshape(kA, kb)
-                    hs = entropy(flat[lo : lo + kA * kb]), entropy(block.sum(axis=1)), entropy(block.sum(axis=0))
-                    pairs.append((mA * m, *hs))
+                flat, ends = red.tolist(), [*np.flatnonzero(np.diff(k)) + 1, len(k)]
+                for i0, i1 in zip([0, *ends], ends):  # the blocks of one size
+                    kb = int(k[i0])
+                    blocks = red[start[i0] : start[i0] + (i1 - i0) * kA * kb].reshape(i1 - i0, kA, kb)
+                    sums = zip(blocks.sum(axis=2).tolist(), blocks.sum(axis=1).tolist())
+                    for b, lo, (r, c) in zip(order[b0 + i0 : b0 + i1].tolist(), start[i0:i1].tolist(), sums):
+                        row[b] = (mA * mB[b], entropy(flat[lo : lo + kA * kb]), entropy(r), entropy(c))
+            pairs += row
         return pairs
 
 

@@ -1,4 +1,4 @@
-"""Typical sequences over structured alphabets, by exhaustive enumeration.
+"""Typical sequences over structured alphabets, counted exactly by type.
 
 Length-N IID sequences can be drawn over the letters themselves, over the
 partitions of a structure, over (component, partition) pairs, or over the
@@ -7,9 +7,10 @@ per-symbol surprisal is within epsilon of the source entropy:
 
     | -(1/N) log2 prob(seq) - H |  <=  epsilon
 
-Everything here enumerates exactly (up to a configurable cap) so the
+Everything here counts exactly (up to a configurable cap) so the
 asymptotic "about 2^(N H)" statements can be probed honestly at small N; a
-clearly-labeled sampled estimator covers spaces beyond the cap.
+clearly-labeled sampled estimator covers spaces beyond the cap.  The counts
+go by the method of types, so the typical set is a union of whole types.
 """
 
 from __future__ import annotations
@@ -20,12 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .alphabet import (
-    Distribution,
-    Partition,
-    PartitionStructure,
-    build_q,
-)
+from .alphabet import Distribution, Partition, PartitionStructure, build_q
 from .errors import NotNormalized, SpaceTooLarge, ValidationError
 from .notions import StructuredAlphabet, entropy, h_s
 
@@ -125,37 +121,58 @@ class TypicalSetSummary:
         return math.log2(self.count) / self.length
 
 
-def _surprisal_table(space: SequenceSpace, cap: int) -> np.ndarray:
-    """-log2 probability of every sequence, in lexicographic order."""
+def _types(space: SequenceSpace, cap: int, owner: np.ndarray | None = None):
+    """Yield, in chunks, the C(N+k-1, N) types of ``space`` (non-decreasing
+    rows of symbols) as arrays: surprisal (added left to right, as for the
+    type's first sequence), orderings and, given the non-decreasing block
+    ``owner`` of each symbol, the code of the block row and its orderings.
+    A chunk holds the rows that start with a range of symbols, at most 2^16
+    rows unless one symbol starts more."""
     if space.size > cap:
-        raise SpaceTooLarge(
-            f"{space.size} sequences exceed the enumeration cap {cap}"
-        )
+        raise SpaceTooLarge(f"{space.size} sequences exceed the enumeration cap {cap}")
+    k, N = len(space.symbols), space.length
     with np.errstate(divide="ignore"):
         base = -np.log2(np.asarray(space.probs, dtype=float))
-    total = np.zeros(1)
-    for _ in range(space.length):
-        total = (total[:, None] + base[None, :]).ravel()
-    return total
+    radix = 1 if owner is None else int(owner[-1]) + 1
+    width = max(1, (1 << 16) // math.comb(N + k - 2, N - 1))  # no symbol starts more rows than symbol 0
+    for lo in range(0, k, width):
+        s = np.arange(lo, min(k, lo + width))
+        sur, run = base[s], np.ones(len(s), dtype=np.int64)
+        ways = m_run = m_ways = run
+        code = run if owner is None else owner[s]
+        for j in range(2, N + 1):  # each row extends by its last symbol or a later one
+            rep = k - s
+            at = np.cumsum(rep) - rep  # the extensions by the last symbol itself
+            last, s = s, np.arange(at[-1] + rep[-1]) + np.repeat(s - at, rep)
+            sur = np.repeat(sur, rep) + base[s]
+            run, prev = np.ones(len(s), dtype=np.int64), run
+            run[at] = prev + 1
+            ways = np.repeat(ways * j, rep)
+            ways[at] //= run[at]
+            if owner is not None:
+                o = owner[s]
+                m_run = np.where(o == np.repeat(owner[last], rep), np.repeat(m_run, rep) + 1, 1)
+                code, m_ways = np.repeat(code * radix, rep) + o, np.repeat(m_ways * j, rep) // m_run
+        yield (sur, ways) if owner is None else (sur, ways, code, m_ways)
 
 
 def typical_set(space: SequenceSpace, epsilon: float, cap: int = ENUMERATION_CAP) -> TypicalSetSummary:
-    """Count and weigh the typical sequences by exact enumeration."""
+    """Count and weigh the typical sequences; a type is typical when its first sequence is."""
     if not 0.0 <= epsilon < math.inf:
         raise ValidationError(f"epsilon must be finite and non-negative, got {epsilon!r}")
-    H = space.base_entropy
-    N = space.length
+    H, N = space.base_entropy, space.length
     if N == 0:
         return TypicalSetSummary(1, 1, 1.0, H, epsilon, 0)
-    sur = _surprisal_table(space, cap)
-    mask = np.abs(sur / N - H) <= epsilon + 1e-12
-    mass = float(np.exp2(-sur[mask]).sum()) if mask.any() else 0.0
-    return TypicalSetSummary(space.size, int(mask.sum()), mass, H, epsilon, N)
+    count, parts = 0, []
+    for sur, ways in _types(space, cap):
+        keep = np.abs(sur / N - H) <= epsilon + 1e-12
+        count += int(ways[keep].sum())
+        parts.append(ways[keep] * np.exp2(-sur[keep]))
+    mass = math.fsum(x for part in parts for x in part.tolist())
+    return TypicalSetSummary(space.size, count, mass, H, epsilon, N)
 
 
-def typical_set_sampled(
-    space: SequenceSpace, epsilon: float, n_samples: int, seed: int
-) -> TypicalSetSummary:
+def typical_set_sampled(space: SequenceSpace, epsilon: float, n_samples: int, seed: int) -> TypicalSetSummary:
     """Approximate typical-set mass by Monte Carlo (count is the number of
     typical draws, not a set size).  Use when the space exceeds the cap."""
     if not (0.0 <= epsilon < math.inf and n_samples >= 1):
@@ -204,18 +221,11 @@ class EquivalenceClassStats:
         """log2(min and max class size) / N, comparable to the structure entropy."""
         if self.class_count == 0:
             return (math.nan, math.nan)
-        return (
-            math.log2(self.min_class_size) / self.length,
-            math.log2(self.max_class_size) / self.length,
-        )
+        return (math.log2(self.min_class_size) / self.length, math.log2(self.max_class_size) / self.length)
 
 
 def equivalence_class_stats(
-    N: int,
-    P: Distribution,
-    S: PartitionStructure,
-    epsilon: float,
-    cap: int = ENUMERATION_CAP,
+    N: int, P: Distribution, S: PartitionStructure, epsilon: float, cap: int = ENUMERATION_CAP
 ) -> EquivalenceClassStats:
     """Group the typical (component, partition) sequences by projection.
 
@@ -227,34 +237,17 @@ def equivalence_class_stats(
     if N < 1 or not 0.0 <= epsilon < math.inf:
         raise ValidationError("need N >= 1 and a finite epsilon >= 0")
     space = pair_space(P, S, N)
-    k = len(space.symbols)
-    if space.size > cap:
-        raise SpaceTooLarge(f"{space.size} sequences exceed the enumeration cap {cap}")
-    # partition index of each pair symbol, for projection codes; build_q
-    # lists the components of each partition in turn
-    radix = len(S)
-    sym_part = np.repeat(np.arange(radix, dtype=np.int64), [len(s) for s in S.partitions])
-    with np.errstate(divide="ignore"):
-        base = -np.log2(np.asarray(space.probs, dtype=float))
-    sur = np.zeros(1)
-    code = np.zeros(1, dtype=np.int64)
-    for _ in range(N):
-        sur = (sur[:, None] + base[None, :]).ravel()
-        code = (code[:, None] * radix + sym_part[None, :]).ravel()
+    # build_q lists each partition's components in turn, so a type fixes the partition
+    # composition m; its class gets multinomial(type) / multinomial(m) sequences from it
+    owner = np.repeat(np.arange(len(S)), [len(s) for s in S.partitions])
     H = space.base_entropy
-    mask = np.abs(sur / N - H) <= epsilon + 1e-12
-    typical = int(mask.sum())
-    h_struct = entropy(S.measures)
-    hs_val = h_s(StructuredAlphabet(P, S))
-    if typical == 0:
-        return EquivalenceClassStats(0, 0, 0, 0, h_struct, hs_val, N)
-    _, counts = np.unique(code[mask], return_counts=True)
-    return EquivalenceClassStats(
-        typical_count=typical,
-        class_count=int(len(counts)),
-        min_class_size=int(counts.min()),
-        max_class_size=int(counts.max()),
-        h_structure=h_struct,
-        h_s=hs_val,
-        length=N,
-    )
+    found = []
+    for sur, ways, code, m_ways in _types(space, cap, owner):
+        keep = np.abs(sur / N - H) <= epsilon + 1e-12
+        found.append((code[keep], ways[keep] // m_ways[keep], m_ways[keep]))
+    code, size, m_ways = map(np.concatenate, zip(*found))
+    code, first, inv = np.unique(code, return_index=True, return_inverse=True)
+    size, m_ways = np.bincount(inv, size, len(code)).astype(np.int64), m_ways[first]  # exact below 2**53
+    counts = (0,) * 4 if not len(code) else (
+        int(m_ways @ size), int(m_ways.sum()), int(size.min()), int(size.max()))
+    return EquivalenceClassStats(*counts, entropy(S.measures), h_s(StructuredAlphabet(P, S)), N)

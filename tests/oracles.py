@@ -11,6 +11,8 @@ import heapq
 import itertools
 import math
 
+import numpy as np
+
 
 def entropy_ref(probs) -> float:
     return -sum(p * math.log2(p) for p in probs if p > 0.0)
@@ -558,3 +560,49 @@ def typical_count_ref(symbol_probs, N, epsilon):
             count += 1
             mass += 2.0 ** (-sur)
     return count, mass
+
+
+def surprisal_table_ref(probs, N) -> np.ndarray:
+    """-log2 probability of every length-N sequence, in lexicographic order:
+    each is the left-to-right sum of its symbols' -log2 p."""
+    with np.errstate(divide="ignore"):
+        base = -np.log2(np.asarray(probs, dtype=float))
+    total = np.zeros(1)
+    for _ in range(N):
+        total = (total[:, None] + base[None, :]).ravel()
+    return total
+
+
+def _entropy_fsum(probs) -> float:
+    return -math.fsum(p * math.log2(p) for p in probs if p > 0.0) + 0.0
+
+
+def typical_set_enumerated(probs, N, epsilon) -> tuple[int, float]:
+    """(count, mass) of the epsilon-typical set, testing every sequence on
+    its own surprisal."""
+    H = _entropy_fsum(probs)
+    sur = surprisal_table_ref(probs, N)
+    mask = np.abs(sur / N - H) <= epsilon + 1e-12
+    mass = float(np.exp2(-sur[mask]).sum()) if mask.any() else 0.0
+    return int(mask.sum()), mass
+
+
+def equivalence_classes_enumerated(probs, owner, N, epsilon) -> tuple[int, int, int, int]:
+    """(typical count, class count, min class size, max class size) of the
+    typical pair sequences grouped by projection, over every sequence.
+    ``probs`` are the pair symbols' probabilities, ``owner[i]`` the
+    partition of pair symbol ``i``."""
+    radix = max(owner) + 1
+    sym_part = np.asarray(owner, dtype=np.int64)
+    with np.errstate(divide="ignore"):
+        base = -np.log2(np.asarray(probs, dtype=float))
+    sur = np.zeros(1)
+    code = np.zeros(1, dtype=np.int64)
+    for _ in range(N):
+        sur = (sur[:, None] + base[None, :]).ravel()
+        code = (code[:, None] * radix + sym_part[None, :]).ravel()
+    mask = np.abs(sur / N - _entropy_fsum(probs)) <= epsilon + 1e-12
+    if not mask.any():
+        return 0, 0, 0, 0
+    _, counts = np.unique(code[mask], return_counts=True)
+    return int(mask.sum()), len(counts), int(counts.min()), int(counts.max())

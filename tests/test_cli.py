@@ -7,6 +7,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -16,6 +18,7 @@ from hypothesis import strategies as hst
 
 import textgen
 
+import structent
 from structent import (
     ParseError,
     distribution_to_json,
@@ -427,6 +430,33 @@ class TestSequences:
         assert out["mode"] == "equivalence-classes"
         assert out["class_count"] >= 1
         assert out["h_s"] == pytest.approx(1.6, abs=1e-9)
+
+
+    def test_cap_inputs_stay_small(self, tmp_path):
+        # a fresh interpreter runs both modes at the enumeration cap (4**12
+        # sequences) and reports its own peak resident set
+        probs = tmp_path / "p.json"
+        probs.write_text('{"alphabet": ["a", "b", "c", "d"], "probs": [0.3, 0.1, 0.4, 0.2]}')
+        structure = tmp_path / "s.json"
+        structure.write_text(json.dumps({"alphabet": ["a", "b", "c", "d"], "partitions": [
+            {"components": [["a", "c"], ["b", "d"]], "measure": 0.6},
+            {"components": [["a", "b"], ["c", "d"]], "measure": 0.4},
+        ]}))
+        common = ["sequences", "--probs", str(probs), "--length", "12", "--epsilon", "0.15"]
+        child = (
+            "import resource, sys\n"
+            "from structent.cli import main\n"
+            f"codes = [main({common!r}), main({common + ['--structure', str(structure)]!r})]\n"
+            "print(codes, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        src = os.path.dirname(os.path.dirname(structent.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env, check=True)
+        lines = done.stdout.splitlines()
+        assert [json.loads(line)["mode"] for line in lines[:2]] == ["typical-set", "equivalence-classes"]
+        codes, rss_kb = lines[2].rsplit(" ", 1)
+        assert codes == "[0, 0]"
+        assert int(rss_kb) / 1024 < 150
 
 
 class TestConserve:

@@ -30,6 +30,8 @@ from structent import (
     typical_set_sampled,
     types_correction,
 )
+from structent.sampling import default_letters, random_distribution, random_structure
+from structent.sequences import ENUMERATION_CAP
 
 
 @pytest.fixture
@@ -118,17 +120,20 @@ class TestSubsetProbability:
         # sits much closer
         N, eps = 8, 0.15
         sp = pair_space(uniform4, mixed_structure, N)
-        base = -np.log2(np.asarray(sp.probs))
         H = sp.base_entropy
-        devs = []
-        for combo in itertools.product(range(len(sp.symbols)), repeat=N):
-            if abs(base[list(combo)].sum() / N - H) <= eps + 1e-12:
-                seq = [sp.symbols[i] for i in combo]
-                devs.append(-math.log2(subset_probability(seq, uniform4)) / N)
-        devs = np.asarray(devs)
+        typical = np.abs(oracles.surprisal_table_ref(sp.probs, N) / N - H) <= eps + 1e-12
+        masses = [uniform4.mass(comp) for comp, _ in sp.symbols]
+        devs = oracles.surprisal_table_ref(masses, N)[typical] / N
         assert np.all(np.abs(devs - 1.6) <= 0.35 + 1e-9)
         assert abs(devs.mean() - 1.6) <= 0.1
         assert np.mean(np.abs(devs - 1.6) <= 0.25) >= 0.75
+        # the table agrees with subset_probability on sampled typical sequences
+        k = len(sp.symbols)
+        rng = np.random.default_rng(8)
+        pick = rng.choice(len(devs), 1000, replace=False)
+        for row, dev in zip(np.flatnonzero(typical)[pick], devs[pick]):
+            seq = [sp.symbols[int(row) // k ** (N - 1 - j) % k] for j in range(N)]
+            assert -math.log2(subset_probability(seq, uniform4)) / N == pytest.approx(dev, abs=1e-12)
 
 
 class TestTypicalSet:
@@ -204,6 +209,117 @@ class TestTypicalSet:
         _, P = skewed_pair
         with pytest.raises(ValidationError):
             typical_set(letter_space(P, 4), -0.1)
+
+
+def _owner(S) -> list[int]:
+    """The partition of each pair symbol, in ``pair_space`` order."""
+    return [k for k, s in enumerate(S.partitions) for _ in s.components]
+
+
+class TestTypeCensus:
+    """The census by types against testing every sequence on its own."""
+
+    EPSILONS = (0.0, 0.05, 0.1, 0.3)
+
+    def check_typical(self, probs, N):
+        P = Distribution(default_letters(len(probs)), probs)
+        for eps in self.EPSILONS:
+            s = typical_set(letter_space(P, N), eps)
+            count, mass = oracles.typical_set_enumerated(P.probs, N, eps)
+            assert s.count == count, (probs, N, eps)
+            assert s.mass == pytest.approx(mass, abs=1e-12)
+
+    def test_random_sources(self):
+        rng = np.random.default_rng(90)
+        for k in range(1, 7):
+            for N in range(1, 9):
+                self.check_typical(tuple(rng.dirichlet(np.ones(k)).tolist()), N)
+
+    def test_zero_probability_letters(self):
+        rng = np.random.default_rng(91)
+        for k in range(2, 6):
+            for N in (1, 3, 6):
+                p = rng.dirichlet(np.ones(k))
+                p[rng.choice(k, size=int(rng.integers(1, k)), replace=False)] = 0.0
+                self.check_typical(tuple((p / p.sum()).tolist()), N)
+        self.check_typical((0.0, 1.0, 0.0), 5)
+
+    def test_sources_on_the_boundary(self):
+        # uniform and dyadic sources: every sequence's rate is exact, so at
+        # epsilon 0 each one sits on the boundary
+        for probs in ((0.5, 0.5), (0.25,) * 4, (1 / 3,) * 3, (0.5, 0.25, 0.125, 0.125), (0.5, 0.25, 0.25)):
+            for N in (1, 4, 7):
+                self.check_typical(probs, N)
+
+    def test_random_structures(self):
+        rng = np.random.default_rng(92)
+        cases = 0
+        while cases < 40:
+            A = default_letters(int(rng.integers(2, 5)))
+            P, S = random_distribution(A, rng), random_structure(A, rng, normalized=True)
+            k = len(pair_space(P, S, 1).symbols)
+            N = int(rng.integers(1, 9))
+            if k**N > 1 << 18:
+                continue
+            cases += 1
+            for eps in self.EPSILONS:
+                st = equivalence_class_stats(N, P, S, eps)
+                got = (st.typical_count, st.class_count, st.min_class_size, st.max_class_size)
+                want = oracles.equivalence_classes_enumerated(pair_space(P, S, 1).probs, _owner(S), N, eps)
+                assert got == want, (N, eps)
+
+    def test_inputs_at_the_cap(self, abcd):
+        # the benchmark's sequences inputs: 4 letters, N = 12, 4**12 sequences
+        P = Distribution(abcd, (0.3, 0.1, 0.4, 0.2))
+        s = typical_set(letter_space(P, 12), 0.15)
+        count, mass = oracles.typical_set_enumerated(P.probs, 12, 0.15)
+        assert (s.space_size, s.count) == (ENUMERATION_CAP, count)
+        assert s.mass == pytest.approx(mass, abs=1e-12)
+        S = PartitionStructure(abcd, [
+            (Partition(abcd, [("a", "c"), ("b", "d")]), 0.6),
+            (Partition(abcd, [("a", "b"), ("c", "d")]), 0.4),
+        ])
+        st = equivalence_class_stats(12, P, S, 0.15)
+        want = oracles.equivalence_classes_enumerated(pair_space(P, S, 1).probs, _owner(S), 12, 0.15)
+        assert (st.typical_count, st.class_count, st.min_class_size, st.max_class_size) == want
+
+    def test_counts_whole_types_near_the_boundary(self):
+        # find a type whose orderings' surprisals round apart, and put the
+        # boundary between them: enumeration splits the type, the census
+        # counts every ordering of a type whose first sequence is typical
+        rng = np.random.default_rng(17)
+        k, N = 3, 6
+        for _ in range(200):
+            P = Distribution(default_letters(k), tuple(rng.dirichlet(np.ones(k)).tolist()))
+            base = (-np.log2(np.asarray(P.probs))).tolist()
+            H = entropy(P.probs)
+            devs: dict[tuple, list] = {}  # per type, in lexicographic order
+            for combo in itertools.product(range(k), repeat=N):
+                sur = 0.0
+                for i in combo:
+                    sur += base[i]
+                devs.setdefault(tuple(sorted(combo)), []).append(abs(sur / N - H))
+            split = [(min(d), max(d)) for d in devs.values() if 1e-9 < min(d) < max(d)]
+            if split:
+                break
+        lo, hi = split[0]
+        eps = lo - 1e-12
+        while eps + 1e-12 < lo:
+            eps = math.nextafter(eps, 1.0)
+        assert lo <= eps + 1e-12 < hi
+        whole = sum(len(d) for d in devs.values() if d[0] <= eps + 1e-12)
+        each = sum(x <= eps + 1e-12 for d in devs.values() for x in d)
+        assert each != whole
+        assert oracles.typical_set_enumerated(P.probs, N, eps)[0] == each
+        assert typical_set(letter_space(P, N), eps).count == whole
+
+    @pytest.mark.parametrize("k, N", [(4096, 2), (256, 3)])
+    def test_large_alphabets_complete(self, k, N):
+        P = random_distribution(default_letters(k), np.random.default_rng(k))
+        s = typical_set(letter_space(P, N), 0.15)
+        H = entropy(P.probs)
+        assert 0.0 < s.mass <= 1.0
+        assert s.mass * 2 ** (N * (H - 0.15)) - 1e-6 <= s.count <= 2 ** (N * (H + 0.15)) + 1e-6
 
 
 class TestSampledEstimator:
