@@ -39,6 +39,17 @@ Letter = Hashable
 PROB_TOL = 1e-9 + 1e-15
 
 
+def _finite_fsum(values: Iterable[float], what: str) -> float:
+    """``math.fsum`` of `values`; ValidationError when the sum is not finite."""
+    try:
+        total = math.fsum(values)
+    except OverflowError:  # an intermediate sum of finite values overflowed
+        total = math.inf
+    if not math.isfinite(total):
+        raise ValidationError(f"the sum of the {what} overflows")
+    return total
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """An ordered tuple of distinct hashable letters."""
@@ -109,7 +120,7 @@ class Distribution:
             if p < -1e-12 or math.isnan(p):
                 raise ValidationError(f"probabilities must be non-negative, got {p}")
         probs = tuple(max(p, 0.0) for p in probs)
-        total = math.fsum(probs)
+        total = _finite_fsum(probs, "probabilities")
         if renormalize:
             if total <= 0.0:
                 raise ValidationError("cannot renormalize a zero vector")
@@ -309,6 +320,7 @@ class PartitionStructure:
             if m < -1e-12 or math.isnan(m):
                 raise ValidationError(f"measures must be non-negative, got {m}")
             merged[s] = merged.get(s, 0.0) + max(m, 0.0)
+        _finite_fsum(merged.values(), "measures")
         self.alphabet = alphabet
         self.partitions = tuple(merged.keys())
         self.measures = tuple(merged.values())

@@ -6,6 +6,9 @@ scores conservation.  A fully conserved column scores 0; a 50/50 split
 inside a height-``h`` cluster scores ``h``; the same split across clusters
 of a normalized tree scores 1.  Classical entropy is reported alongside so
 the structure-blind and structure-aware views can be compared per column.
+A column's letter counts come from the alignment's uint8 code matrix, all
+columns in one numpy pass; each column's score is still one ``hu_arcwise``
+call on its own ``count / total`` distribution.
 """
 
 from __future__ import annotations
@@ -13,9 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .alphabet import Distribution, Partition, reduce
 from .errors import AlphabetMismatch, ValidationError
-from .io import GAP, Alignment
+from .io import AMINO_ACIDS, GAP, Alignment
 from .notions import entropy
 from .ultrametric import UltrametricTree, hu_arcwise, leaf, node
 
@@ -94,43 +99,6 @@ class ConservationReport:
         return "\n".join(lines) + "\n"
 
 
-def _score_column(
-    col: str,
-    T: UltrametricTree,
-    gap_mode: str,
-    threshold: float,
-    index: int,
-    reduce_partition: Optional[Partition],
-) -> ColumnScore:
-    n = len(col)
-    non_gap = sum(1 for ch in col if ch != GAP)
-    coverage = non_gap / n
-    if gap_mode == "skip":
-        observed = [ch for ch in col if ch != GAP]
-    else:
-        observed = list(col)
-    flagged = coverage < threshold
-    if not observed:
-        return ColumnScore(index, 0.0, 0.0, 0.0, None if reduce_partition is None else 0.0, True)
-    counts: dict = {}
-    for ch in observed:
-        if ch not in T.alphabet:
-            raise AlphabetMismatch(
-                f"column {index}: letter {ch!r} is not a leaf of the tree"
-            )
-        counts[ch] = counts.get(ch, 0) + 1
-    total = len(observed)
-    P = Distribution.from_mapping(
-        T.alphabet, {a: counts.get(a, 0) / total for a in T.alphabet}
-    )
-    hu = hu_arcwise(T, P)
-    h = entropy(P.probs)
-    h_red = None
-    if reduce_partition is not None:
-        h_red = entropy(reduce(P, reduce_partition).probs)
-    return ColumnScore(index, coverage, hu, h, h_red, flagged)
-
-
 def conservation_score(
     aln: Alignment,
     T: UltrametricTree,
@@ -152,8 +120,30 @@ def conservation_score(
     if not (0.0 <= coverage_threshold <= 1.0):
         raise ValidationError("coverage_threshold must lie in [0, 1]")
 
-    scores = [
-        _score_column(aln.column(j), T, gap_mode, coverage_threshold, j + 1, reduce_partition)
-        for j in range(aln.n_cols)
-    ]
+    letters, gap = AMINO_ACIDS + GAP, len(AMINO_ACIDS)  # the codes of aln._codes
+    codes = aln._codes
+    counts = np.stack([(codes == k).sum(axis=0) for k in range(len(letters))], axis=1)
+    coverage = ((aln.n_rows - counts[:, gap]) / aln.n_rows).tolist()
+    if gap_mode == "skip":
+        counts[:, gap] = 0
+    missing = [k for k, a in enumerate(letters) if a not in T.alphabet]
+    bad = np.flatnonzero(counts[:, missing].any(axis=1))
+    if bad.size:  # the first such column, and its first such letter in row order
+        j = int(bad[0])
+        a = next(letters[k] for k in codes[:, j].tolist() if k in missing and counts[j, k])
+        raise AlphabetMismatch(f"column {j + 1}: letter {a!r} is not a leaf of the tree")
+    index = {a: k for k, a in enumerate(letters)}
+    leaves = [index.get(a, len(letters)) for a in T.alphabet]  # a code past the end counts 0
+    empty = None if reduce_partition is None else 0.0
+    scores = []
+    for j, row in enumerate(counts.tolist(), start=1):
+        total = sum(row)
+        if not total:  # all gaps, skipped
+            scores.append(ColumnScore(j, 0.0, 0.0, 0.0, empty, True))
+            continue
+        row.append(0)
+        P = Distribution(T.alphabet, [row[k] / total for k in leaves])
+        h_red = None if reduce_partition is None else entropy(reduce(P, reduce_partition).probs)
+        c = coverage[j - 1]
+        scores.append(ColumnScore(j, c, hu_arcwise(T, P), entropy(P.probs), h_red, c < coverage_threshold))
     return ConservationReport(gap_mode, coverage_threshold, tuple(scores))

@@ -21,11 +21,15 @@ from .ultrametric import DistanceMatrix, TreeNode, UltrametricTree, leaf, node
 
 AMINO_ACIDS = "ACDEFGHIKLMNPQRSTVWY"
 GAP = "-"
+# byte -> code of AMINO_ACIDS + GAP (0-20), 255 for every other byte
+_CODE_TABLE = bytes((AMINO_ACIDS + GAP).find(chr(b)) % 256 for b in range(256))
 
 
 @dataclass(frozen=True)
 class Alignment:
-    """Named equal-length rows over the amino-acid alphabet plus gap."""
+    """Named equal-length rows over the amino-acid alphabet plus gap; ``_codes``
+    holds them as a read-only rows x columns uint8 matrix of indices into
+    ``AMINO_ACIDS + GAP``."""
 
     names: tuple[str, ...]
     rows: tuple[str, ...]
@@ -36,17 +40,19 @@ class Alignment:
         if not self.rows:
             raise ValidationError("alignment must have at least one row")
         width = len(self.rows[0])
-        allowed = set(AMINO_ACIDS) | {GAP}
-        for name, row in zip(self.names, self.rows):
+        codes = np.empty((len(self.rows), width), dtype=np.uint8)
+        for i, (name, row) in enumerate(zip(self.names, self.rows)):
             if len(row) != width:
                 raise ValidationError(
                     f"row {name!r} has length {len(row)}, expected {width}"
                 )
-            for j, ch in enumerate(row):
-                if ch not in allowed:
-                    raise ValidationError(
-                        f"row {name!r} column {j + 1}: invalid character {ch!r}"
-                    )
+            line = row.encode("ascii", "replace").translate(_CODE_TABLE)  # one byte per character
+            j = line.find(255)
+            if j >= 0:
+                raise ValidationError(f"row {name!r} column {j + 1}: invalid character {row[j]!r}")
+            codes[i] = np.frombuffer(line, dtype=np.uint8)
+        codes.flags.writeable = False
+        object.__setattr__(self, "_codes", codes)
 
     @property
     def n_rows(self) -> int:

@@ -606,3 +606,43 @@ def equivalence_classes_enumerated(probs, owner, N, epsilon) -> tuple[int, int, 
         return 0, 0, 0, 0
     _, counts = np.unique(code[mask], return_counts=True)
     return int(mask.sum()), len(counts), int(counts.min()), int(counts.max())
+
+
+
+# ----------------------------------------------------------- conservation
+
+
+def _score_column_ref(col, T, gap_mode, threshold, index, reduce_partition):
+    """One column scored from its characters, counted one at a time."""
+    from structent import AlphabetMismatch, ColumnScore, Distribution, entropy, hu_arcwise, reduce
+
+    n = len(col)
+    non_gap = sum(1 for ch in col if ch != "-")
+    coverage = non_gap / n
+    observed = [ch for ch in col if ch != "-"] if gap_mode == "skip" else list(col)
+    flagged = coverage < threshold
+    if not observed:
+        return ColumnScore(index, 0.0, 0.0, 0.0, None if reduce_partition is None else 0.0, True)
+    counts: dict = {}
+    for ch in observed:
+        if ch not in T.alphabet:
+            raise AlphabetMismatch(f"column {index}: letter {ch!r} is not a leaf of the tree")
+        counts[ch] = counts.get(ch, 0) + 1
+    total = len(observed)
+    P = Distribution.from_mapping(T.alphabet, {a: counts.get(a, 0) / total for a in T.alphabet})
+    h_red = None
+    if reduce_partition is not None:
+        h_red = entropy(reduce(P, reduce_partition).probs)
+    return ColumnScore(index, coverage, hu_arcwise(T, P), entropy(P.probs), h_red, flagged)
+
+
+def conservation_score_ref(aln, T, gap_mode, threshold, reduce_partition=None):
+    """The ``ColumnScore`` of every column of ``aln``, each column joined
+    into a string and its letters counted one by one.  The per-column
+    arithmetic is the library's (``Distribution``, ``hu_arcwise``,
+    ``entropy``), so equal counts give equal floats.  The caller checks the
+    arguments: in extra-letter mode the tree must hold the gap."""
+    return tuple(
+        _score_column_ref(aln.column(j), T, gap_mode, threshold, j + 1, reduce_partition)
+        for j in range(aln.n_cols)
+    )

@@ -77,6 +77,13 @@ class TestDistribution:
         with pytest.raises(ValidationError):
             Distribution(A, (1.5, -0.5))
 
+    def test_overflowing_sum_rejected(self):
+        # finite entries whose fsum overflows: a ValidationError, not an OverflowError
+        A = Alphabet(("a", "b"))
+        for renormalize in (False, True):
+            with pytest.raises(ValidationError, match="sum of the probabilities overflows"):
+                Distribution(A, (8.98846567431158e307, 8.988465674311579e307), renormalize=renormalize)
+
     def test_mass(self):
         A = Alphabet(("a", "b", "c"))
         d = P(A, 0.2, 0.3, 0.5)
@@ -185,6 +192,17 @@ class TestPartitionStructure:
         s = Partition(abcd, [("a", "b"), ("c", "d")])
         with pytest.raises(ValidationError):
             PartitionStructure(abcd, [(s, -0.1)])
+
+    def test_overflowing_total_measure_rejected(self, abcd):
+        s = Partition(abcd, [("a", "b"), ("c", "d")])
+        t = Partition(abcd, [("a", "c"), ("b", "d")])
+        with pytest.raises(ValidationError, match="sum of the measures overflows"):
+            PartitionStructure(abcd, [(s, 1e308), (t, 1e308)])
+        with pytest.raises(ValidationError, match="sum of the measures overflows"):
+            PartitionStructure(abcd, [(s, 1e308), (s, 1e308)])  # merged into one infinite measure
+        big = PartitionStructure(abcd, [(s, 1e200)])
+        with pytest.raises(ValidationError, match="sum of the measures overflows"):
+            product_structure(big, big)  # label rows rebuilt with a product measure of 1e400
 
     def test_flags(self, mixed_structure, abcd):
         assert mixed_structure.is_normalized

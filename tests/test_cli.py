@@ -13,7 +13,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 import textgen
@@ -564,6 +564,10 @@ def strict_json(text: str):
     return json.loads(text, parse_constant=reject)
 
 
+BIG_MEASURES = '{"alphabet": ["a", "b", "c"], "partitions": [' \
+    '{"measure": 1e308, "components": [["a"], ["b", "c"]]}, {"measure": 1e308, "components": [["a", "b"], ["c"]]}]}'
+
+
 class TestNonFiniteInput:
     """Non-finite numbers and out-of-range counts fail as input errors
     instead of printing NaN or infinity or raising a raw exception."""
@@ -575,10 +579,16 @@ class TestNonFiniteInput:
             ("pts.csv", "0,0.5\ninf,0.5\n", ["itr", "--points", "{f}"], 2),
             ("pts.csv", "-1e308\n0\n1e308\n", ["itr", "--points", "{f}"], 1),
             ("pts.csv", "-1e308,0.5\n1e308,0.5\n", ["itr", "--points", "{f}"], 1),
+            # probabilities whose fsum overflows
+            ("pts.csv", "-1.0,8.98846567431158e+307\n0,8.988465674311579e+307\n", ["itr", "--points", "{f}"], 1),
             ("t.nwk", "(a:1e400,b:1e400);", ["hu", "--tree", "{f}", "--probs", "{p}"], 2),
             ("t.nwk", "(a:1e308,b:1e308);", ["hu", "--tree", "{f}", "--probs", "{p}"], 1),
             ("d.csv", ",a,b\na,0,inf\nb,inf,0\n", ["distance", "--matrix", "{f}"], 2),
             ("d.csv", ",a,b\na,0,nan\nb,nan,0\n", ["distance", "--matrix", "{f}", "--probs", "{p}"], 2),
+            ("s.json", BIG_MEASURES, ["hs", "--structure", "{f}", "--probs", "{q}"], 1),
+            ("s.json", BIG_MEASURES, ["notions", "--joint", "{j}", "--row-structure", "{f}", "--col-structure", "{f}"], 1),
+            ("s.json", BIG_MEASURES, ["distance", "--structure", "{f}"], 1),
+            ("s.json", BIG_MEASURES, ["code", "--tree", "{t}", "--probs", "{q}", "--structure", "{f}"], 1),
             ("-", "", ["sequences", "--probs", "{p}", "--length", "3", "--epsilon", "nan"], 1),
             ("-", "", ["sequences", "--probs", "{p}", "--length", "3", "--epsilon", "inf"], 1),
             ("-", "", ["sequences", "--probs", "{p}", "--length", "3", "--epsilon", "-0.1"], 1),
@@ -586,12 +596,20 @@ class TestNonFiniteInput:
             ("-", "", ["trials", "--count", "-1", "--seed", "3", "--max-n", "5"], 1),
         ],
     )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_exit_code_and_no_summary(self, capsys, tmp_path, name, text, argv, expected):
         f = tmp_path / name
         f.write_text(text)
         p = tmp_path / "p.json"
         p.write_text('{"alphabet": ["a", "b"], "probs": [0.5, 0.5]}')
-        argv = [a.format(f=f, p=p) for a in argv] + (["--violations-dir", str(tmp_path)] if argv[0] == "trials" else [])
+        q = tmp_path / "q.json"  # three letters, for the structure rows
+        q.write_text('{"alphabet": ["a", "b", "c"], "probs": [0.25, 0.25, 0.5]}')
+        j = tmp_path / "j.json"
+        j.write_text('{"row_alphabet": ["a", "b", "c"], "col_alphabet": ["a", "b", "c"], '
+                     '"matrix": [[0.1, 0.1, 0.1], [0.1, 0.1, 0.1], [0.1, 0.1, 0.2]]}')
+        t = tmp_path / "tree.nwk"
+        t.write_text("((a:0.25,b:0.25):0.25,c:0.5);")
+        argv = [a.format(f=f, p=p, q=q, j=j, t=t) for a in argv] + (["--violations-dir", str(tmp_path)] if argv[0] == "trials" else [])
         assert main(argv) == expected
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -668,6 +686,7 @@ class TestGeneratedFiles:
         main_on_files(files, ["code", "--matrix", "@d.csv", "--probs", "@p.json", "--optimize"])
 
     @given(textgen.points_csvs(), hst.booleans())
+    @example("-1.0,8.98846567431158e+307\n0,8.988465674311579e+307\n", False)  # fsum overflow
     @settings(max_examples=150, deadline=None)
     def test_itr(self, text, collapse):
         main_on_files({"pts.csv": text}, ["itr", "--points", "@pts.csv"] + (["--collapse"] if collapse else []))

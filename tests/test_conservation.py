@@ -3,19 +3,31 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
+import oracles
 from structent import (
+    AMINO_ACIDS,
+    GAP,
     Alignment,
     AlphabetMismatch,
     Partition,
     SYNTHETIC_CLUSTER_HEIGHT,
     ValidationError,
     conservation_score,
+    parse_fasta,
+    parse_newick,
     synthetic_aa_tree,
     tree_to_distance,
 )
+from structent.sampling import random_partition
+
+LETTERS = AMINO_ACIDS + GAP
 
 
 def score_one(column_rows: list[str], **kw) -> float:
@@ -231,3 +243,87 @@ class TestReport:
                 single = Alignment(aln.names, tuple(s[j] for s in seqs))
                 row = conservation_score(single, T, **kw).to_csv().splitlines()[1]
                 assert wide[j + 1] == f"{j + 1}," + row.split(",", 1)[1]
+
+
+@hst.composite
+def scoring_cases(draw):
+    """(alignment, tree, gap mode, threshold, reduce partition or None).
+
+    Columns are all gaps, mostly gaps, one letter or a mix, drawn from a
+    pool of letters; the Newick tree groups the letters it holds into
+    clusters and may lack some of them (never the gap in extra-letter mode).
+    """
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    n_rows, n_cols = draw(hst.integers(1, 30)), draw(hst.integers(1, 40))
+    pool = np.array(draw(hst.lists(hst.sampled_from(AMINO_ACIDS), min_size=1, max_size=20, unique=True)))
+    grid = np.full((n_rows, n_cols), GAP)
+    for j, kind in enumerate(rng.integers(0, 4, size=n_cols)):
+        if kind == 1:  # mostly gaps
+            grid[:, j] = np.where(rng.random(n_rows) < 0.8, GAP, rng.choice(pool, n_rows))
+        elif kind == 2:
+            grid[:, j] = rng.choice(pool)
+        elif kind == 3:
+            grid[:, j] = rng.choice(np.append(pool, GAP), n_rows)
+    aln = Alignment(tuple(f"r{i}" for i in range(n_rows)), tuple("".join(r) for r in grid))
+
+    gap_mode = draw(hst.sampled_from(["skip", "extra-letter"]))
+    missing = draw(hst.lists(hst.sampled_from(AMINO_ACIDS), max_size=3, unique=True) | hst.just([]))
+    with_gap = gap_mode == "extra-letter" or draw(hst.booleans())
+    leaves = [a for a in LETTERS if a not in missing and (a != GAP or with_gap)]
+    rng.shuffle(leaves)
+    cuts = np.sort(rng.choice(np.arange(1, len(leaves)), size=draw(hst.integers(1, 5)), replace=False))
+    low = draw(hst.sampled_from([0.125, 0.25, 0.5]))
+    clusters = [
+        f"{g[0]}:1" if len(g) == 1 else "(" + ",".join(f"{a}:{low}" for a in g) + f"):{1 - low}"
+        for g in np.split(np.array(leaves), cuts)
+    ]
+    T = parse_newick("(" + ",".join(clusters) + ");", lengths="L")
+
+    threshold = draw(hst.sampled_from([0.0, 0.5, 1.0]) | hst.floats(0.0, 1.0))
+    part = random_partition(T.alphabet, rng) if draw(hst.booleans()) else None
+    return aln, T, gap_mode, threshold, part
+
+
+class TestAgainstReference:
+    @given(scoring_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_column_loop(self, case):
+        # counts from the code matrix give the same scores, and the same
+        # error for the first column holding a letter the tree lacks
+        def outcome(score):
+            try:
+                return score(*case)
+            except AlphabetMismatch as e:
+                return f"AlphabetMismatch: {e}"
+
+        got = outcome(lambda *a: conservation_score(*a).columns)
+        assert got == outcome(oracles.conservation_score_ref)
+
+    def test_first_missing_letter_in_row_order(self):
+        T = parse_newick("((A:0.25,C:0.25):0.75,D:1);", lengths="L")
+        aln = Alignment(("r1", "r2", "r3", "r4"), ("AAA", "AWA", "AVE", "AEW"))
+        with pytest.raises(AlphabetMismatch, match=r"^column 2: letter 'W' is not a leaf of the tree$"):
+            conservation_score(aln, T)
+
+
+def test_traced_memory_per_cell():
+    # parsing and scoring a 400 x 3000 alignment allocate a few bytes per
+    # cell: the rows, their uint8 codes and one boolean mask per letter at a time
+    rows, cols = 400, 3000
+    rng = np.random.default_rng(11)
+    cells = np.frombuffer(LETTERS.encode(), dtype=np.uint8)[rng.integers(0, len(LETTERS), (rows, cols))]
+    text = "".join(f">s{i}\n{r.tobytes().decode()}\n" for i, r in enumerate(cells))
+    T = synthetic_aa_tree()
+    tracemalloc.start()
+    try:
+        aln = parse_fasta(text)
+        parse_peak = tracemalloc.get_traced_memory()[1]
+        held = tracemalloc.get_traced_memory()[0]  # the alignment
+        tracemalloc.reset_peak()
+        report = conservation_score(aln, T)
+        score_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert len(report.columns) == cols
+    assert parse_peak <= 8 * rows * cols, parse_peak / (rows * cols)
+    assert score_peak <= 8 * rows * cols, score_peak / (rows * cols)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -12,6 +13,8 @@ from hypothesis import strategies as hst
 
 import textgen
 from structent import (
+    AMINO_ACIDS,
+    GAP,
     Alignment,
     Alphabet,
     Distribution,
@@ -56,6 +59,38 @@ class TestAlignment:
     def test_name_count_must_match(self):
         with pytest.raises(ValidationError):
             Alignment(("r1",), ("ACD", "ACD"))
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (("AéC",), "row 'r0' column 2: invalid character 'é'"),
+            (("AC", "☃A"), "row 'r1' column 1: invalid character '☃'"),
+            (("A☃?", "AAA"), "row 'r0' column 2: invalid character '☃'"),
+            (("ACD", "AC?"), "row 'r1' column 3: invalid character '?'"),
+            (("A\x00C",), "row 'r0' column 2: invalid character '\\x00'"),
+            (("ACD", "AcD"), "row 'r1' column 2: invalid character 'c'"),
+            # the first bad cell in row-major order
+            (("ACD", "ZAé", "AAz"), "row 'r1' column 1: invalid character 'Z'"),
+            (("AC*", "*AC"), "row 'r0' column 3: invalid character '*'"),
+            # rows are checked in order, each for its length before its characters
+            (("AC", "AZA"), "row 'r1' has length 3, expected 2"),
+            (("AZ", "ACD"), "row 'r0' column 2: invalid character 'Z'"),
+        ],
+    )
+    def test_validation_messages(self, rows, message):
+        with pytest.raises(ValidationError) as exc:
+            Alignment(tuple(f"r{i}" for i in range(len(rows))), rows)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("rows", [("A",), ("AC-", "AG-"), ("-" * 5, "WYVAC", "DE-KL"), ("", "")])
+    def test_code_matrix_is_not_a_field(self, rows):
+        names = tuple(f"r{i}" for i in range(len(rows)))
+        aln = Alignment(names, rows)
+        assert [f.name for f in dataclasses.fields(aln)] == ["names", "rows"]
+        assert aln == Alignment(names, rows) and hash(aln) == hash((names, rows))
+        assert repr(aln) == f"Alignment(names={names!r}, rows={rows!r})"
+        assert aln._codes.dtype == np.uint8 and not aln._codes.flags.writeable
+        assert aln._codes.tolist() == [[(AMINO_ACIDS + GAP).index(ch) for ch in row] for row in rows]
 
 
 class TestFasta:
