@@ -579,21 +579,21 @@ class TestNonFiniteInput:
             ("pts.csv", "0,0.5\ninf,0.5\n", ["itr", "--points", "{f}"], 2),
             ("pts.csv", "-1e308\n0\n1e308\n", ["itr", "--points", "{f}"], 1),
             ("pts.csv", "-1e308,0.5\n1e308,0.5\n", ["itr", "--points", "{f}"], 1),
-            # probabilities whose fsum overflows
-            ("pts.csv", "-1.0,8.98846567431158e+307\n0,8.988465674311579e+307\n", ["itr", "--points", "{f}"], 1),
             ("t.nwk", "(a:1e400,b:1e400);", ["hu", "--tree", "{f}", "--probs", "{p}"], 2),
             ("t.nwk", "(a:1e308,b:1e308);", ["hu", "--tree", "{f}", "--probs", "{p}"], 1),
             ("d.csv", ",a,b\na,0,inf\nb,inf,0\n", ["distance", "--matrix", "{f}"], 2),
             ("d.csv", ",a,b\na,0,nan\nb,nan,0\n", ["distance", "--matrix", "{f}", "--probs", "{p}"], 2),
-            ("s.json", BIG_MEASURES, ["hs", "--structure", "{f}", "--probs", "{q}"], 1),
-            ("s.json", BIG_MEASURES, ["notions", "--joint", "{j}", "--row-structure", "{f}", "--col-structure", "{f}"], 1),
-            ("s.json", BIG_MEASURES, ["distance", "--structure", "{f}"], 1),
-            ("s.json", BIG_MEASURES, ["code", "--tree", "{t}", "--probs", "{q}", "--structure", "{f}"], 1),
             ("-", "", ["sequences", "--probs", "{p}", "--length", "3", "--epsilon", "nan"], 1),
             ("-", "", ["sequences", "--probs", "{p}", "--length", "3", "--epsilon", "inf"], 1),
             ("-", "", ["sequences", "--probs", "{p}", "--length", "3", "--epsilon", "-0.1"], 1),
             ("-", "", ["trials", "--count", "2", "--seed", "-1", "--max-n", "5"], 1),
             ("-", "", ["trials", "--count", "-1", "--seed", "3", "--max-n", "5"], 1),
+            # probabilities whose fsum overflows
+            ("pts.csv", "-1.0,8.98846567431158e+307\n0,8.988465674311579e+307\n", ["itr", "--points", "{f}"], 1),
+            ("s.json", BIG_MEASURES, ["hs", "--structure", "{f}", "--probs", "{q}"], 1),
+            ("s.json", BIG_MEASURES, ["notions", "--joint", "{j}", "--row-structure", "{f}", "--col-structure", "{f}"], 1),
+            ("s.json", BIG_MEASURES, ["distance", "--structure", "{f}"], 1),
+            ("s.json", BIG_MEASURES, ["code", "--tree", "{t}", "--probs", "{q}", "--structure", "{f}"], 1),
         ],
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")
