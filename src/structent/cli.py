@@ -240,7 +240,7 @@ def _cmd_distance(args) -> int:
             "is_normalized": D.is_normalized,
             "log_base": base,
         }
-        witness = D._ultrametric_witness()
+        witness = D._ultra[1]  # found and kept by is_ultrametric above
         if witness is not None:
             out["witness"] = [repr(x) for x in witness]
         else:

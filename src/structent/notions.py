@@ -6,9 +6,9 @@ reduced distribution, and sum weighted by the partition measures.  Under the
 traditional structure (singletons, measure 1) each notion collapses exactly
 to its classical counterpart.
 
-The joint notions read one pair table per :class:`StructuredJoint`, which
-reduces each pair of partitions once to the entropies of its reduced joint
-and of that joint's row and column sums.
+The joint notions read one pair table per :class:`StructuredJoint`.  It sums
+the joint's rows through every column partition first, then that table's
+rows through each row partition, and keeps each pair's three entropies.
 
 All logarithms are base 2; values are in bits.  The conventions
 0 * log(0) = 0 and 0 * log(0/0) = 0 apply throughout.
@@ -101,8 +101,10 @@ class JointDistribution:
         if np.isnan(m).any() or (m < -1e-12).any():
             raise ValidationError("joint probabilities must be non-negative")
         m = np.clip(m, 0.0, None)
-        if abs(float(m.sum()) - 1.0) > PROB_TOL:
-            raise ValidationError(f"joint probabilities sum to {float(m.sum())!r}, expected 1")
+        with np.errstate(over="ignore"):  # a sum past the float range is inf, and rejected
+            total = float(m.sum())
+        if abs(total - 1.0) > PROB_TOL:
+            raise ValidationError(f"joint probabilities sum to {total!r}, expected 1")
         self.row_alphabet = row_alphabet
         self.col_alphabet = col_alphabet
         self.matrix = m
@@ -122,12 +124,13 @@ class JointDistribution:
         return Distribution(self.col_alphabet, self.matrix.sum(axis=0), renormalize=False)
 
     def reduced(self, sA: Partition, sB: Partition) -> np.ndarray:
-        """Joint matrix over components of sA x components of sB."""
+        """Joint matrix over components of sA x components of sB: each row
+        summed by column block, then the rows by row block, in index order."""
         if sA.alphabet != self.row_alphabet or sB.alphabet != self.col_alphabet:
             raise AlphabetMismatch("partition alphabets do not match the joint")
         kA, kB = len(sA), len(sB)
-        cells = sA.labels[:, None] * kB + sB.labels[None, :]
-        return np.bincount(cells.ravel(), weights=self.matrix.ravel()).reshape(kA, kB)
+        rows = np.bincount((kB * np.arange(len(sA.labels))[:, None] + sB.labels).ravel(), weights=self.matrix.ravel())
+        return np.bincount((kB * sA.labels[:, None] + np.arange(kB)).ravel(), weights=rows).reshape(kA, kB)
 
 
 @dataclass(frozen=True)
@@ -148,33 +151,42 @@ class StructuredJoint:
     def _pairs(self) -> list[tuple[float, float, float, float]]:
         """(mA * mB, H(reduced joint), H(its row sums), H(its column sums))
         for every pair of positive-measure partitions, row partitions
-        outermost.  One ``bincount`` per row partition reduces the joint
-        through many column partitions: cell (i, j) of column partition b
-        goes to bin ``start[b] + rowlabel[i] * k[b] + collabel[b, j]``, so a
-        bin adds the cells :meth:`JointDistribution.reduced` adds, in its order.
-        Column partitions go in by size: one ``sum`` per axis covers a size."""
+        outermost.  The two stages of :meth:`JointDistribution.reduced` run
+        for all pairs: one ``bincount`` per batch of column partitions sums
+        each row by column block into an n x sum(kB) table, then one per row
+        partition sums that table's rows by row block, partition b's block as
+        a kA x kB[b] run.  Column partitions go in by size: one ``sum`` per
+        axis covers a size."""
+        M, rows = self.joint.matrix, [(s, m) for s, m in self.SA.items() if m > 0.0]
         mB = [m for m in self.SB.measures if m > 0.0]
+        if not (rows and mB):
+            return []
         LB = self.SB.labels[np.array(self.SB.measures) > 0.0]
         kB = LB.max(axis=1) + 1
         order = np.argsort(kB, kind="stable")  # blocks of one size side by side
         LB, kB = LB[order], kB[order]
-        step = max(1, _BATCH_CELLS // self.joint.matrix.size)  # column partitions per bincount
-        weights = np.tile(self.joint.matrix.ravel(), min(step, len(mB)))
+        start = np.cumsum(kB) - kB  # first table column of each column partition
+        n, table = len(M), np.empty((len(M), int(kB.sum())))
+        step = max(1, _BATCH_CELLS // M.size)  # column partitions per bincount
+        weights = np.tile(M.ravel(), min(step, len(mB)))
+        for b0 in range(0, len(mB), step):  # bin of cell (i, j): i * width + column
+            c0, c1 = start[b0], start[b0] + kB[b0 : b0 + step].sum()
+            bins = ((start[b0 : b0 + step] - c0)[:, None] + (c1 - c0) * np.arange(n))[:, :, None] + LB[b0 : b0 + step, None, :]
+            table[:, c0:c1] = np.bincount(bins.ravel(), weights=weights[: bins.size]).reshape(n, c1 - c0)
+        part = np.repeat(np.arange(len(kB)), kB)  # column partition of each table column
+        ends = [*np.flatnonzero(np.diff(kB)) + 1, len(kB)]
         pairs = []
-        for sA, mA in ((s, m) for s, m in self.SA.items() if m > 0.0):
+        for sA, mA in rows:
             kA, row = len(sA), [None] * len(mB)
-            for b0 in range(0, len(mB), step):
-                k = kB[b0 : b0 + step]
-                start = np.cumsum(kA * k) - kA * k
-                bins = (start[:, None] + k[:, None] * sA.labels)[:, :, None] + LB[b0 : b0 + step, None, :]
-                red = np.bincount(bins.ravel(), weights=weights[: bins.size])
-                flat, ends = red.tolist(), [*np.flatnonzero(np.diff(k)) + 1, len(k)]
-                for i0, i1 in zip([0, *ends], ends):  # the blocks of one size
-                    kb = int(k[i0])
-                    blocks = red[start[i0] : start[i0] + (i1 - i0) * kA * kb].reshape(i1 - i0, kA, kb)
-                    sums = zip(blocks.sum(axis=2).tolist(), blocks.sum(axis=1).tolist())
-                    for b, lo, (r, c) in zip(order[b0 + i0 : b0 + i1].tolist(), start[i0:i1].tolist(), sums):
-                        row[b] = (mA * mB[b], entropy(flat[lo : lo + kA * kb]), entropy(r), entropy(c))
+            bins = (kA - 1) * start[part] + np.arange(len(part)) + kB[part] * sA.labels[:, None]
+            red = np.bincount(bins.ravel(), weights=table.ravel())
+            flat = red.tolist()
+            for i0, i1 in zip([0, *ends], ends):  # the blocks of one size
+                kb, lo = int(kB[i0]), kA * int(start[i0])
+                blocks = red[lo : lo + (i1 - i0) * kA * kb].reshape(i1 - i0, kA, kb)
+                sums = zip(blocks.sum(axis=2).tolist(), blocks.sum(axis=1).tolist())
+                for b, lo, (r, c) in zip(order[i0:i1].tolist(), (kA * start[i0:i1]).tolist(), sums):
+                    row[b] = (mA * mB[b], entropy(flat[lo : lo + kA * kb]), entropy(r), entropy(c))
             pairs += row
         return pairs
 

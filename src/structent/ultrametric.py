@@ -323,28 +323,28 @@ def tree_to_distance(T: UltrametricTree) -> DistanceMatrix:
     return DistanceMatrix(T.alphabet, out)
 
 
-def _distinct_levels(values: list[float]) -> tuple[list[float], list[int]]:
+def _distinct_levels(values) -> tuple[list[float], list[int]]:
     """Sorted distinct values, grouping anything closer than the tolerance
     and taking each group's mean, with the level index of every value."""
-    groups: list[list[float]] = []
-    level = [0] * len(values)
-    for i in sorted(range(len(values)), key=values.__getitem__):
-        v = float(values[i])
-        if groups and v - groups[-1][0] <= HEIGHT_TOL * max(1.0, abs(v)):
-            groups[-1].append(v)
-        else:
-            groups.append([v])
-        level[i] = len(groups) - 1
-    return [math.fsum(g) / len(g) for g in groups], level
+    order = np.argsort(values, kind="stable")
+    sv = np.asarray(values, dtype=float)[order].tolist()
+    starts: list[int] = []  # a value joins the group of the smallest value within its tolerance
+    for i in np.flatnonzero(np.diff(sv, prepend=-math.inf)).tolist():  # the first of each distinct value
+        if not (starts and sv[i] - sv[starts[-1]] <= HEIGHT_TOL * max(1.0, abs(sv[i]))):
+            starts.append(i)
+    counts = np.diff(starts, append=len(sv))
+    level = np.repeat(np.arange(len(starts)), counts)[np.argsort(order)]
+    return [math.fsum(sv[a : a + c]) / c for a, c in zip(starts, counts.tolist())], level.tolist()
 
 
 def tree_from_distance(D: DistanceMatrix, P: Optional[Distribution] = None) -> UltrametricTree:
     """Build the unique ultrametric tree of a distance matrix.
 
     Clusters are merged bottom-up at each distinct distance level; letters at
-    distance zero stay distinct leaves under a shared height-0 node.  The
-    distribution argument is only validated for alphabet agreement; trees do
-    not store probabilities.
+    distance zero stay distinct leaves under a shared height-0 node.  At each
+    level the first free cluster takes every later free cluster close to it,
+    read from one block of the matrix.  The distribution argument is only
+    validated for alphabet agreement; trees do not store probabilities.
     """
     if P is not None and P.alphabet != D.alphabet:
         raise ValidationError("distribution and distance use different alphabets")
@@ -355,33 +355,20 @@ def tree_from_distance(D: DistanceMatrix, P: Optional[Distribution] = None) -> U
     if n == 1:
         return UltrametricTree(A, leaf(A.letters[0]))
     m = D.matrix
-    off = m[np.triu_indices(n, k=1)]
-    levels, _ = _distinct_levels(off.tolist())
-    clusters: list[TreeNode] = [leaf(a) for a in A]
-    reps: list[int] = list(range(n))  # matrix row representing each cluster
+    levels, _ = _distinct_levels(m[np.triu_indices(n, k=1)])
+    clusters = np.fromiter((leaf(a) for a in A), dtype=object, count=n)
+    reps = np.arange(n)  # matrix row representing each cluster
     for d in levels:
-        tol = HEIGHT_TOL * max(1.0, d)
-        groups: list[list[int]] = []
-        assigned = [-1] * len(clusters)
-        for i in range(len(clusters)):
-            if assigned[i] >= 0:
-                continue
-            g = [i]
-            assigned[i] = len(groups)
-            for j in range(i + 1, len(clusters)):
-                if assigned[j] < 0 and m[reps[i], reps[j]] <= d + tol:
-                    g.append(j)
-                    assigned[j] = len(groups)
-            groups.append(g)
-        new_clusters: list[TreeNode] = []
-        new_reps: list[int] = []
-        for g in groups:
-            if len(g) == 1:
-                new_clusters.append(clusters[g[0]])
-            else:
-                new_clusters.append(node(d, [clusters[i] for i in g]))
-            new_reps.append(reps[g[0]])
-        clusters, reps = new_clusters, new_reps
+        close = m[np.ix_(reps, reps)] <= d + HEIGHT_TOL * max(1.0, d)
+        np.fill_diagonal(close, False)
+        free, kept = np.ones(len(reps), dtype=bool), np.ones(len(reps), dtype=bool)
+        for i in np.flatnonzero(close.any(axis=1)).tolist():  # clusters with a close partner, in order
+            if free[i]:
+                g = np.flatnonzero(close[i] & free)  # later ones only: every earlier one close to i is taken
+                free[i], free[g], kept[g] = False, False, False
+                if len(g):
+                    clusters[i] = node(d, [clusters[i], *clusters[g]])
+        reps, clusters = reps[kept], clusters[kept]
         if len(clusters) == 1:
             break
     if len(clusters) != 1:

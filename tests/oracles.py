@@ -112,6 +112,47 @@ def ultrametric_witness_ref(D):
     return tuple(D.alphabet.letters[k] for k in np.argwhere(bad)[0])
 
 
+def tree_from_distance_ref(D):
+    """The tree of an ultrametric ``D`` by pairwise cluster comparison.
+
+    The off-diagonal distances are key-sorted and grouped into levels as the
+    library groups them.  At each level the first unassigned cluster takes
+    every later unassigned cluster within the tolerance of it, comparing one
+    matrix entry per cluster pair."""
+    from structent.ultrametric import HEIGHT_TOL, UltrametricTree, leaf, node
+
+    A, m = D.alphabet, D.matrix
+    n = len(A)
+    if n == 1:
+        return UltrametricTree(A, leaf(A.letters[0]))
+    values = m[np.triu_indices(n, k=1)].tolist()
+    groups: list[list[float]] = []
+    for v in sorted(values):
+        if groups and v - groups[-1][0] <= HEIGHT_TOL * max(1.0, abs(v)):
+            groups[-1].append(v)
+        else:
+            groups.append([v])
+    clusters, reps = [leaf(a) for a in A], list(range(n))
+    for d in (math.fsum(g) / len(g) for g in groups):
+        tol = HEIGHT_TOL * max(1.0, d)
+        merged, assigned = [], [False] * len(clusters)
+        for i in range(len(clusters)):
+            if assigned[i]:
+                continue
+            g = [i]
+            for j in range(i + 1, len(clusters)):
+                if not assigned[j] and m[reps[i], reps[j]] <= d + tol:
+                    g.append(j)
+                    assigned[j] = True
+            merged.append(g)
+        clusters = [clusters[g[0]] if len(g) == 1 else node(d, [clusters[i] for i in g]) for g in merged]
+        reps = [reps[g[0]] for g in merged]
+        if len(clusters) == 1:
+            break
+    assert len(clusters) == 1
+    return UltrametricTree(A, clusters[0])
+
+
 def dist_dict(D) -> dict:
     letters = D.alphabet.letters
     return {

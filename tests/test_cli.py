@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ import textgen
 
 import structent
 from structent import (
+    DistanceMatrix,
     ParseError,
     distribution_to_json,
     hu_arcwise,
@@ -243,6 +245,20 @@ class TestDistance:
         assert len(out["witness"]) == 3
         assert "newick" not in out
 
+    def test_matrix_mode_finds_the_witness_once(self, capsys, files, monkeypatch):
+        calls = []
+        witness = DistanceMatrix._ultrametric_witness
+        monkeypatch.setattr(DistanceMatrix, "_ultrametric_witness", lambda D: calls.append(1) or witness(D))
+        bad = files["tmp"] / "bad.csv"
+        bad.write_text(",a,b,c\na,0,0.2,1\nb,0.2,0,0.5\nc,1,0.5,0\n")
+        assert main(["distance", "--matrix", str(bad)]) == 0
+        assert capsys.readouterr().out == (
+            '{"is_normalized": true, "is_ultrametric": false, "log_base": "2", "mode": "matrix", "n": 3, '
+            '"witness": ["\'a\'", "\'c\'", "\'b\'"]}\n'
+        )
+        assert main(["distance", "--matrix", str(files["dist"]), "--out", str(files["tmp"] / "t.nwk")]) == 0
+        assert len(calls) == 2  # one search per call, kept by the matrix
+
     def test_structure_mode_state_distances(self, capsys, files):
         out_file = files["tmp"] / "state.csv"
         code, out = run(
@@ -434,7 +450,9 @@ class TestSequences:
 
     def test_cap_inputs_stay_small(self, tmp_path):
         # a fresh interpreter runs both modes at the enumeration cap (4**12
-        # sequences) and reports its own peak resident set
+        # sequences) and reports its own peak resident set.  VmHWM is the
+        # child's own; after exec, Linux carries the parent's high-water mark
+        # into ru_maxrss, which is read only where VmHWM is missing
         probs = tmp_path / "p.json"
         probs.write_text('{"alphabet": ["a", "b", "c", "d"], "probs": [0.3, 0.1, 0.4, 0.2]}')
         structure = tmp_path / "s.json"
@@ -447,7 +465,12 @@ class TestSequences:
             "import resource, sys\n"
             "from structent.cli import main\n"
             f"codes = [main({common!r}), main({common + ['--structure', str(structure)]!r})]\n"
-            "print(codes, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+            "try:\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        peak_kb = next(int(ln.split()[1]) for ln in fh if ln.startswith('VmHWM:'))\n"
+            "except (OSError, StopIteration):\n"
+            "    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print(codes, peak_kb)\n"
         )
         src = os.path.dirname(os.path.dirname(structent.__file__))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -567,6 +590,8 @@ def strict_json(text: str):
 BIG_MEASURES = '{"alphabet": ["a", "b", "c"], "partitions": [' \
     '{"measure": 1e308, "components": [["a"], ["b", "c"]]}, {"measure": 1e308, "components": [["a", "b"], ["c"]]}]}'
 
+BIG_JOINT = '{"row_alphabet": ["a", "b", "c"], "col_alphabet": ["a", "b", "c"], ' \
+    '"matrix": [[0, 0, 0], [0, 0, 0], [0, 1e308, 1e308]]}'
 
 class TestNonFiniteInput:
     """Non-finite numbers and out-of-range counts fail as input errors
@@ -594,6 +619,8 @@ class TestNonFiniteInput:
             ("s.json", BIG_MEASURES, ["notions", "--joint", "{j}", "--row-structure", "{f}", "--col-structure", "{f}"], 1),
             ("s.json", BIG_MEASURES, ["distance", "--structure", "{f}"], 1),
             ("s.json", BIG_MEASURES, ["code", "--tree", "{t}", "--probs", "{q}", "--structure", "{f}"], 1),
+            # joint cells whose sum overflows
+            ("big.json", BIG_JOINT, ["notions", "--joint", "{f}", "--row-structure", "{h}", "--col-structure", "{h}"], 1),
         ],
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -609,7 +636,9 @@ class TestNonFiniteInput:
                      '"matrix": [[0.1, 0.1, 0.1], [0.1, 0.1, 0.1], [0.1, 0.1, 0.2]]}')
         t = tmp_path / "tree.nwk"
         t.write_text("((a:0.25,b:0.25):0.25,c:0.5);")
-        argv = [a.format(f=f, p=p, q=q, j=j, t=t) for a in argv] + (["--violations-dir", str(tmp_path)] if argv[0] == "trials" else [])
+        h = tmp_path / "halves.json"
+        h.write_text(BIG_MEASURES.replace("1e308", "0.5"))
+        argv = [a.format(f=f, p=p, q=q, j=j, t=t, h=h) for a in argv] + (["--violations-dir", str(tmp_path)] if argv[0] == "trials" else [])
         assert main(argv) == expected
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -635,7 +664,8 @@ class TestNonFiniteInput:
 def main_on_files(files: dict, argv: list) -> int:
     """Run ``main`` with each ``@name`` argument replaced by a file holding
     ``files[name]``.  The exit code must be 0, 1, 2 or 64, no exception may
-    escape, and whatever reaches stdout must be strict JSON."""
+    escape, whatever reaches stdout must be strict JSON, and an error that
+    ``main`` returns writes one line to stderr, with no warning beside it."""
     with tempfile.TemporaryDirectory() as d:
         for name, text in files.items():
             with open(os.path.join(d, name), "w") as fh:
@@ -643,12 +673,16 @@ def main_on_files(files: dict, argv: list) -> int:
         argv = [os.path.join(d, a[1:]) if a.startswith("@") else a for a in argv]
         if argv[0] == "trials":
             argv += ["--violations-dir", d]
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # a warning prints to stderr outside the test runner
             try:
                 code = main(argv)
             except SystemExit as e:  # argparse usage errors
                 code = e.code
+            else:
+                if code:
+                    assert err.getvalue().count("\n") + len(caught) == 1 and err.getvalue().endswith("\n")
     assert code in (0, 1, 2, 64)
     for line in out.getvalue().splitlines():
         strict_json(line)
@@ -714,6 +748,31 @@ class TestGeneratedFiles:
     def test_trials(self, count, seed, n_min, n_max):
         argv = ["trials", "--count", str(count), "--seed", seed, "--min-n", str(n_min), "--max-n", str(n_max)]
         main_on_files({}, argv)
+
+    @given(hst.data(), hst.integers(1, 5), DISTRIBUTIONS)
+    @settings(max_examples=150, deadline=None)
+    def test_structure_commands(self, data, n, probs):
+        letters = [f"a{k}" for k in range(n)]
+        probs = probs[:n] + (0.0,) * (n - len(probs)) if n >= 3 else (1.0,) + (0.0,) * (n - 1)
+        files = {
+            "s.json": data.draw(textgen.structure_jsons(letters)),
+            "p.json": distribution_text(data.draw(hst.permutations(letters)), probs),
+            "t.nwk": "(" + ",".join(f"{a}:1" for a in data.draw(hst.permutations(letters))) + ");",
+        }
+        main_on_files(files, ["hs", "--structure", "@s.json", "--probs", "@p.json"])
+        main_on_files(files, ["distance", "--structure", "@s.json"])
+        main_on_files(files, ["code", "--tree", "@t.nwk", "--probs", "@p.json", "--structure", "@s.json"])
+
+    @given(hst.data(), hst.integers(1, 4), hst.integers(1, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_notions_joint(self, data, n, m):
+        rows, cols = [f"a{k}" for k in range(n)], [f"b{k}" for k in range(m)]
+        files = {
+            "j.json": data.draw(textgen.joint_jsons(rows, cols)),
+            "r.json": data.draw(textgen.structure_jsons(rows)),
+            "c.json": data.draw(textgen.structure_jsons(cols)),
+        }
+        main_on_files(files, ["notions", "--joint", "@j.json", "--row-structure", "@r.json", "--col-structure", "@c.json"])
 
     @given(textgen.FASTA_TEXT | textgen.STOCKHOLM_TEXT, hst.sampled_from(["skip", "extra-letter"]))
     @settings(max_examples=150, deadline=None)

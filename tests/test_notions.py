@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from structent import (
     Alphabet,
     Distribution,
     JointDistribution,
+    LinearAlphabet,
     NotNormalized,
     Partition,
     PartitionStructure,
@@ -30,6 +32,7 @@ from structent import (
     hu_bandwise,
     i_s,
     kl_divergence,
+    linear_structure,
     power_structure,
     product_structure,
     to_partition_structure,
@@ -284,6 +287,17 @@ def four_notions(J):
     return (h_s_joint(J), h_s_conditional(J, "row|col"), h_s_conditional(J, "col|row"), i_s(J))
 
 
+def line_joint(n, seed, zeros=0.0):
+    """A StructuredJoint of two n-point real lines in [0, 1) under their
+    threshold structures, with a fraction ``zeros`` of the cells set to exactly 0."""
+    rng = np.random.default_rng(seed)
+    A, B = (LinearAlphabet(tuple(float(x) for x in (np.arange(n) + rng.uniform(0.0, 0.5, n)) / n)) for _ in range(2))
+    mat = rng.dirichlet(np.ones(n * n)).reshape(n, n)
+    mat[rng.random((n, n)) < zeros] = 0.0
+    mat[0, 0] += 1.0 - mat.sum()
+    return StructuredJoint(JointDistribution(A.alphabet, B.alphabet, mat), linear_structure(A), linear_structure(B))
+
+
 class TestPairTable:
     """All four joint notions read one table of per-pair entropies."""
 
@@ -304,9 +318,11 @@ class TestPairTable:
         monkeypatch.setattr(np, "bincount", lambda *a, **k: calls.append(1) or bincount(*a, **k))
         monkeypatch.setattr(JointDistribution, "reduced", None)
         assert four_notions(J) == expected
+        first = len(calls)
         assert four_notions(J) == expected
+        assert len(calls) == first  # the second call reads the kept table
         rows = sum(m > 0.0 for m in J.SA.measures)
-        assert len(calls) == rows  # one bincount per row partition, all notions
+        assert first == rows + 1  # one stage-1 batch of column partitions, then one per row partition
         assert len(J._pairs) == rows * sum(m > 0.0 for m in J.SB.measures)
 
     def test_column_partitions_split_across_bincounts(self, monkeypatch):
@@ -317,6 +333,46 @@ class TestPairTable:
         monkeypatch.setattr(notions, "_BATCH_CELLS", 1)  # one column partition per bincount
         for J in joints:
             assert four_notions(J) == per_pair_values(J)
+
+    @pytest.fixture(scope="class")
+    def line_case(self):
+        J = line_joint(60, 41, zeros=0.3)
+        pts = [list(S.alphabet.letters) for S in (J.SA, J.SB)]  # the letters are the points
+        notions = ("joint", "row|col", "col|row", "mutual")
+        return J, [oracles.real_line_joint_ref(*pts, J.joint.matrix.tolist(), k) for k in notions]
+
+    @pytest.mark.parametrize("batch_cells", [None, 1])
+    def test_against_oracles(self, monkeypatch, line_case, batch_cells):
+        import structent.notions as notions
+
+        if batch_cells:
+            monkeypatch.setattr(notions, "_BATCH_CELLS", batch_cells)  # one column partition per bincount
+        J, ref = line_case
+        J = StructuredJoint(J.joint, J.SA, J.SB)  # a fresh table
+        assert four_notions(J) == pytest.approx(ref, abs=1e-12)
+        rng = np.random.default_rng(95)
+        for _ in range(30):
+            J = joint_with_zeros(rng)
+            ref = (
+                oracles.hs_joint_double_sum(J.joint, J.SA, J.SB),
+                oracles.hs_conditional_double_sum(J.joint, J.SA, J.SB, "row|col"),
+                oracles.hs_conditional_double_sum(J.joint, J.SA, J.SB, "col|row"),
+                oracles.is_double_sum(J.joint, J.SA, J.SB),
+            )
+            assert four_notions(J) == pytest.approx(ref, abs=1e-12)
+
+    def test_peak_memory(self):
+        # 44 025 028 bytes: the traced peak of the one-stage reduction this
+        # table replaced, which built a (column partitions x n x n) bin index
+        # for every row partition
+        J = line_joint(120, 5)
+        tracemalloc.start()
+        try:
+            J._pairs
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 44_025_028
 
     def test_no_positive_partition_on_a_side(self):
         rng = np.random.default_rng(94)

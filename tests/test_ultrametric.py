@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
 
 import oracles
 from structent import (
@@ -179,6 +181,49 @@ class TestTreeFromDistance:
                 a = next(iter(c1.leaves))
                 b = next(iter(c2.leaves))
                 assert T.distance(a, b) == pytest.approx(nd.height)
+
+
+@hst.composite
+def near_ultrametric_matrices(draw) -> DistanceMatrix:
+    """A matrix from random merges at non-decreasing heights drawn from a
+    pool with zeros and values tied within HEIGHT_TOL, scaled, then moved
+    entry by entry by up to 8e-10 of the scale: near-ties and near-violations."""
+    n = draw(hst.integers(1, 9))
+    pool = [0.0, 1e-10, 0.3, 0.3 + 4e-10, 0.3 + 9e-10, 0.7, 1.0 - 6e-10, 1.0, 2.5]
+    m, clusters, h = np.zeros((n, n)), [[i] for i in range(n)], 0.0
+    while len(clusters) > 1:
+        i, j = draw(hst.lists(hst.integers(0, len(clusters) - 1), min_size=2, max_size=2, unique=True))
+        h = draw(hst.sampled_from([x for x in pool if x >= h]))
+        m[np.ix_(clusters[i], clusters[j])] = m[np.ix_(clusters[j], clusters[i])] = h
+        clusters[min(i, j)] += clusters.pop(max(i, j))
+    scale = draw(hst.sampled_from([1.0, 1e-3, 1e3]))
+    jitter = np.array(draw(hst.lists(hst.sampled_from([0.0, 3e-10, -3e-10, 8e-10]), min_size=n * n, max_size=n * n)))
+    jitter = jitter.reshape(n, n) + jitter.reshape(n, n).T
+    np.fill_diagonal(jitter, 0.0)
+    return DistanceMatrix(default_letters(n), np.clip(scale * (m + jitter / 2), 0.0, None))
+
+
+class TestTreeFromDistanceOracle:
+    """The level-block build against the pairwise cluster loop."""
+
+    @given(near_ultrametric_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_same_newick_bytes(self, D):
+        assume(D.is_ultrametric)
+
+        def outcome(build):
+            try:
+                return tree_to_newick(build(D))
+            except ValidationError as e:  # levels closer than the tree's height tolerance
+                return repr(e)
+
+        assert outcome(tree_from_distance) == outcome(oracles.tree_from_distance_ref)
+
+    def test_random_trees(self):
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            D = tree_to_distance(random_ultrametric_tree(int(rng.integers(2, 60)), rng))
+            assert tree_to_newick(tree_from_distance(D)) == tree_to_newick(oracles.tree_from_distance_ref(D))
 
 
 class TestTreeValidation:

@@ -3,10 +3,13 @@
 Each strategy mostly builds a file of the right shape, so that the fields
 reach the number readers and the validators behind them, and fills the
 number fields from a pool rich in edge cases: nan, infinities, overflow,
-negatives and junk.
+negatives and junk.  The structure and joint strategies build valid JSON
+around measures and probabilities that are zero, tiny, denormal or huge.
 """
 
 from __future__ import annotations
+
+import json
 
 from hypothesis import strategies as hst
 
@@ -69,3 +72,38 @@ STOCKHOLM_TEXT = hst.lists(
     hst.one_of(hst.tuples(hst.sampled_from(["s1", "s2", "#=GC"]), RESIDUES).map(" ".join), hst.just("//"), RESIDUES),
     max_size=6,
 ).map(lambda lines: "\n".join(["# STOCKHOLM 1.0"] + lines) + "\n")
+
+
+MEASURES = hst.sampled_from([0.0, 5e-324, 1e-310, 1e-300, 1e-12, 0.25, 0.5, 1.0, 3.0, 1e300, 1e308]) | hst.floats(
+    0.0, 2.0
+)
+
+
+@hst.composite
+def structure_jsons(draw, letters) -> str:
+    """Structure JSON over ``letters``: the alphabet and every block in a
+    shuffled order, random partitions with measures from ``MEASURES``, and
+    now and then a block that has lost a letter."""
+    parts = []
+    for _ in range(draw(hst.integers(0, 4))):
+        labels = draw(hst.lists(hst.integers(0, len(letters) - 1), min_size=len(letters), max_size=len(letters)))
+        blocks: dict[int, list] = {}
+        for a, k in zip(draw(hst.permutations(letters)), labels):
+            blocks.setdefault(k, []).append(a)
+        components = draw(hst.permutations(list(blocks.values())))
+        if draw(hst.integers(0, 9)) == 0:
+            components[0] = components[0][1:]
+        parts.append({"measure": draw(MEASURES), "components": components})
+    return json.dumps({"alphabet": draw(hst.permutations(letters)), "partitions": parts})
+
+
+@hst.composite
+def joint_jsons(draw, rows, cols) -> str:
+    """Joint JSON over shuffled row and column letters, with cells from
+    ``MEASURES``, most often scaled to sum to 1."""
+    cells = draw(hst.lists(MEASURES, min_size=len(rows) * len(cols), max_size=len(rows) * len(cols)))
+    total = sum(cells)  # inf past the float range
+    if draw(hst.integers(0, 4)) and 0.0 < total < float("inf"):
+        cells = [x / total for x in cells]
+    matrix = [cells[i * len(cols) : (i + 1) * len(cols)] for i in range(len(rows))]
+    return json.dumps({"row_alphabet": draw(hst.permutations(rows)), "col_alphabet": list(cols), "matrix": matrix})
