@@ -1,17 +1,18 @@
 """Command-line surface.
 
 Every subcommand reads its declared input files, runs the corresponding
-library operation, prints a JSON summary to stdout, and optionally writes
-CSV/Newick artifacts to files.  Exit codes: 0 success, 1 validation error,
-2 parse error, 64 usage error.
+library operation, returns a summary that ``main`` prints as JSON to stdout,
+and optionally writes CSV/Newick artifacts to files.  Exit codes: 0
+success, 1 validation error, 2 parse error, 64 usage error.
 
 Entropy-like quantities are computed in bits and converted for display when
-the ``STRUCTENT_LOG_BASE`` environment variable is ``e`` or ``10``; every
-summary records the base used.  Floats are printed at 12 significant digits
-and key order is fixed, so output is byte-identical across runs given the
-same inputs and seeds.  JSON has no infinity or NaN, so an infinite or
-undefined value (a D_KL of +inf, the rate of an empty typical set) prints
-as ``null``.
+the ``STRUCTENT_LOG_BASE`` environment variable is ``e`` or ``10``: ``main``
+reads the base before any input, passes the subcommand the factor converting
+bits into it, and records the base in the summary.  Floats are printed at 12
+significant digits and key order is fixed, so output is byte-identical
+across runs given the same inputs and seeds.  JSON has no infinity or NaN,
+so an infinite or undefined value (a D_KL of +inf, the rate of an empty
+typical set) prints as ``null``.
 """
 
 from __future__ import annotations
@@ -147,8 +148,7 @@ class _Parser(argparse.ArgumentParser):
 # ----------------------------------------------------------- subcommands
 
 
-def _cmd_hu(args) -> int:
-    base, f = _log_base()
+def _cmd_hu(args, f: float) -> dict:
     T = parse_newick(_read(args.tree), lengths=args.lengths)
     P = _dist_on(T.alphabet, parse_distribution_json(_read(args.probs)))
     out = {
@@ -156,7 +156,6 @@ def _cmd_hu(args) -> int:
         "n": len(T.alphabet),
         "tree_height": T.height,
         "is_normalized": T.is_normalized,
-        "log_base": base,
     }
     if args.forms:
         out["forms"] = {
@@ -168,12 +167,10 @@ def _cmd_hu(args) -> int:
     if args.out_structure:
         _write(args.out_structure, structure_to_json(to_partition_structure(T)) + "\n")
         out["structure_file"] = args.out_structure
-    _emit(out)
-    return 0
+    return out
 
 
-def _cmd_hs(args) -> int:
-    base, f = _log_base()
+def _cmd_hs(args, f: float) -> dict:
     S = parse_structure_json(_read(args.structure))
     P = _dist_on(S.alphabet, parse_distribution_json(_read(args.probs)))
     X = StructuredAlphabet(P, S)
@@ -184,16 +181,13 @@ def _cmd_hs(args) -> int:
         "total_measure": S.total_measure,
         "is_normalized": S.is_normalized,
         "is_separating": S.is_separating,
-        "log_base": base,
     }
     if S.is_normalized:
         out["H_S_via_q"] = f * h_s_via_q(X)
-    _emit(out)
-    return 0
+    return out
 
 
-def _cmd_notions(args) -> int:
-    base, f = _log_base()
+def _cmd_notions(args, f: float) -> dict:
     if args.joint:
         if not (args.row_structure and args.col_structure):
             raise ValidationError("--joint needs --row-structure and --col-structure")
@@ -208,7 +202,6 @@ def _cmd_notions(args) -> int:
             "H_row_given_col": f * h_s_conditional(SJ, "row|col"),
             "H_col_given_row": f * h_s_conditional(SJ, "col|row"),
             "I": f * i_s(SJ),
-            "log_base": base,
         }
     elif args.structure and args.probs and args.probs2:
         S = parse_structure_json(_read(args.structure))
@@ -216,19 +209,16 @@ def _cmd_notions(args) -> int:
         Q = _dist_on(S.alphabet, parse_distribution_json(_read(args.probs2)))
         out = {
             "D_KL": f * d_kl_s(StructuredAlphabet(P, S), Q),
-            "log_base": base,
         }
     else:
         raise ValidationError(
             "notions needs either --joint with --row-structure/--col-structure, "
             "or --structure with --probs and --probs2"
         )
-    _emit(out)
-    return 0
+    return out
 
 
-def _cmd_distance(args) -> int:
-    base, f = _log_base()
+def _cmd_distance(args, f: float) -> dict:
     if bool(args.matrix) == bool(args.structure):
         raise ValidationError("distance needs exactly one of --matrix or --structure")
     if args.matrix:
@@ -238,7 +228,6 @@ def _cmd_distance(args) -> int:
             "n": len(D.alphabet),
             "is_ultrametric": D.is_ultrametric,
             "is_normalized": D.is_normalized,
-            "log_base": base,
         }
         witness = D._ultra[1]  # found and kept by is_ultrametric above
         if witness is not None:
@@ -261,17 +250,14 @@ def _cmd_distance(args) -> int:
             "is_ultrametric": M.is_ultrametric,
             "is_normalized": M.is_normalized,
             "max_distance": float(M.matrix.max()),
-            "log_base": base,
         }
         if args.out:
             _write(args.out, distance_to_csv(M))
             out["matrix_file"] = args.out
-    _emit(out)
-    return 0
+    return out
 
 
-def _cmd_code(args) -> int:
-    base, f = _log_base()
+def _cmd_code(args, f: float) -> dict:
     if bool(args.tree) == bool(args.matrix):
         raise ValidationError("code needs exactly one of --tree or --matrix")
     if args.tree:
@@ -293,7 +279,6 @@ def _cmd_code(args) -> int:
         "gap": f * (mu - hu),
         "bound_ok": mu - hu <= GAP_BOUND + GAP_TOL,
         "optimized": bool(args.optimize),
-        "log_base": base,
     }
     if trace is not None:
         out["rewrites"] = len(trace.rewrites)
@@ -314,12 +299,10 @@ def _cmd_code(args) -> int:
             )
         _write(args.out, "\n".join(lines) + "\n")
         out["codes_file"] = args.out
-    _emit(out)
-    return 0
+    return out
 
 
-def _cmd_trials(args) -> int:
-    base, f = _log_base()
+def _cmd_trials(args, f: float) -> dict:
     report = run_bound_trials(
         count=args.count,
         n_min=args.min_n,
@@ -332,20 +315,16 @@ def _cmd_trials(args) -> int:
         for key in ("hu", "mu", "gap"):
             rec[key] = f * rec[key]
     d["max_gap"] = f * d["max_gap"]
+    d["bound"] = f * GAP_BOUND
     summary = {k: v for k, v in d.items() if k != "records"}
-    summary["bound"] = f * GAP_BOUND
-    summary["log_base"] = base
     if args.out:
-        d["bound"] = f * GAP_BOUND
-        d["log_base"] = base
+        d["log_base"] = args.log_base
         _write(args.out, json.dumps(_round12(d), sort_keys=True) + "\n")
         summary["report_file"] = args.out
-    _emit(summary)
-    return 0
+    return summary
 
 
-def _cmd_itr(args) -> int:
-    base, f = _log_base()
+def _cmd_itr(args, f: float) -> dict:
     points, probs = parse_points_csv(_read(args.points))
     if probs is not None:
         if args.collapse:
@@ -357,21 +336,17 @@ def _cmd_itr(args) -> int:
             "n_points": len(points),
             "span": [min(points), max(points)],
             "is_normalized": A.is_normalized,
-            "log_base": base,
         }
     else:
         out = {
             "h_r_sample": f * h_r_sample(points),
             "n": len(points),
             "span": [min(points), max(points)],
-            "log_base": base,
         }
-    _emit(out)
-    return 0
+    return out
 
 
-def _cmd_sequences(args) -> int:
-    base, f = _log_base()
+def _cmd_sequences(args, f: float) -> dict:
     P = parse_distribution_json(_read(args.probs))
     if args.structure:
         S = _structure_on(P.alphabet, parse_structure_json(_read(args.structure)))
@@ -389,7 +364,6 @@ def _cmd_sequences(args) -> int:
             "min_class_size": stats.min_class_size,
             "max_class_size": stats.max_class_size,
             "size_rates": [f * lo, f * hi],
-            "log_base": base,
         }
     else:
         summary = typical_set(letter_space(P, args.length), args.epsilon)
@@ -403,10 +377,8 @@ def _cmd_sequences(args) -> int:
             "rate": f * summary.rate,
             "entropy": f * summary.entropy,
             "types_correction": f * types_correction(len(P.alphabet), args.length),
-            "log_base": base,
         }
-    _emit(out)
-    return 0
+    return out
 
 
 def _parse_alignment(text: str, fmt: str) -> Alignment:
@@ -415,8 +387,7 @@ def _parse_alignment(text: str, fmt: str) -> Alignment:
     return parse_stockholm(text) if fmt == "stockholm" else parse_fasta(text)
 
 
-def _cmd_conserve(args) -> int:
-    base, f = _log_base()
+def _cmd_conserve(args, f: float) -> dict:
     aln = _parse_alignment(_read(args.aln), args.format)
     if args.tree:
         T = parse_newick(_read(args.tree), lengths=args.lengths)
@@ -444,7 +415,6 @@ def _cmd_conserve(args) -> int:
             }
             for c in report.columns
         ],
-        "log_base": base,
     }
     if args.out:
         scaled = tuple(
@@ -453,8 +423,7 @@ def _cmd_conserve(args) -> int:
         )
         _write(args.out, replace(report, columns=scaled).to_csv())
         out["report_file"] = args.out
-    _emit(out)
-    return 0
+    return out
 
 
 # -------------------------------------------------------------- dispatch
@@ -544,7 +513,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args.log_base, f = _log_base()
+        out = args.func(args, f)
+        out["log_base"] = args.log_base
+        _emit(out)
+        return 0
     except ParseError as e:
         sys.stderr.write(f"parse error: {e}\n")
         return 2

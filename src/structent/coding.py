@@ -62,6 +62,8 @@ from .notions import StructuredAlphabet, binary_entropy, h_s
 from .ultrametric import (
     DistanceMatrix,
     UltrametricTree,
+    _Node,
+    _preorder,
     _unfold,
     _weights,
     hu_arcwise,
@@ -71,7 +73,7 @@ from .ultrametric import (
 from . import sampling
 
 
-class CodeNode:
+class CodeNode(_Node):
     """A node of a strictly binary code tree."""
 
     __slots__ = ("letter", "left", "right", "_vec", "_contrib", "_opt")
@@ -91,16 +93,8 @@ class CodeNode:
         return self.left is None
 
     @property
-    def leaves(self) -> frozenset:
-        """The letters under this node, collected on each call."""
-        out, stack = [], [self]
-        while stack:
-            nd = stack.pop()
-            if nd.is_leaf:
-                out.append(nd.letter)
-            else:
-                stack += (nd.left, nd.right)
-        return frozenset(out)
+    def children(self) -> tuple:
+        return () if self.left is None else (self.left, self.right)
 
     def __repr__(self) -> str:
         if self.is_leaf:
@@ -111,66 +105,37 @@ class CodeNode:
 class CodeTree:
     """A strictly binary tree whose leaves are exactly the alphabet.
 
-    Like :class:`~structent.ultrametric.UltrametricTree`, it keeps one flat
-    view of its nodes, built in the pass that validates the leaves: in
-    preorder with left branches first, so a left child sits right after its
-    parent; ``_right`` holds each right child's position (-1 at a leaf), and
-    ``[_lo, _hi)`` each node's range in ``_order``, the alphabet indices of
-    the leaves from left to right.
+    Like :class:`~structent.ultrametric.UltrametricTree`, it keeps the view
+    of its nodes that ``ultrametric._preorder`` builds: in preorder with
+    left branches first, so a left child sits right after its parent, with
+    each node's (left, right) positions in ``_kids`` and its range
+    ``[_lo, _hi)`` in ``_order``, the leaves' alphabet indices.
     """
 
-    __slots__ = ("alphabet", "root", "_nodes", "_right", "_lo", "_hi", "_order")
+    __slots__ = ("alphabet", "root", "_nodes", "_kids", "_lo", "_hi", "_order")
 
     def __init__(self, alphabet: Alphabet, root: CodeNode):
         self.alphabet = alphabet
         self.root = root
-        index = alphabet._index
-        nodes, right, lo, order = [], [], [], []
-        seen: set = set()
-        stack = [(root, -1)]  # (node, position of the parent whose right child it is)
-        while stack:
-            nd, p = stack.pop()
-            i = len(nodes)
-            if p >= 0:
-                right[p] = i
-            nodes.append(nd)
-            right.append(-1)
-            lo.append(len(order))
-            if not nd.is_leaf:
-                stack += ((nd.right, i), (nd.left, -1))
-                continue
-            if nd.letter not in index:
-                raise ValidationError(f"code leaf {nd.letter!r} not in alphabet")
-            if nd.letter in seen:
-                raise ValidationError(f"duplicate code leaf {nd.letter!r}")
-            seen.add(nd.letter)
-            order.append(index[nd.letter])
-        if len(seen) != len(alphabet):
-            raise ValidationError("code tree leaves must cover the alphabet exactly")
-        hi = [0] * len(nodes)
-        for i in reversed(range(len(nodes))):
-            hi[i] = hi[right[i]] if right[i] >= 0 else lo[i] + 1
-        self._nodes = nodes
-        self._right = right
-        self._lo = lo
-        self._hi = hi
-        self._order = order
+        self._nodes, _, self._kids, self._lo, self._hi, self._order = _preorder(
+            root, alphabet, lambda nd: () if nd.left is None else (nd.right, nd.left), "code "
+        )
 
     def internal_nodes(self) -> Iterator[CodeNode]:
         """Internal nodes in preorder, left branches first."""
-        return (nd for nd, r in zip(self._nodes, self._right) if r >= 0)
+        return (nd for nd, k in zip(self._nodes, self._kids) if k)
 
     def _path_sums(self, zero, step) -> dict:
         """By letter, ``zero`` plus ``step(i, side)`` over the nodes ``i`` on
         the letter's root path, ``side`` the branch taken there (0 left)."""
         acc = [zero] * len(self._nodes)
         out = {}
-        for i, (nd, r) in enumerate(zip(self._nodes, self._right)):
-            if r < 0:
-                out[nd.letter] = acc[i]
+        for i, (nd, k) in enumerate(zip(self._nodes, self._kids)):
+            if k:
+                acc[k[0]] = acc[i] + step(i, 0)
+                acc[k[1]] = acc[i] + step(i, 1)
             else:
-                acc[i + 1] = acc[i] + step(i, 0)
-                acc[r] = acc[i] + step(i, 1)
+                out[nd.letter] = acc[i]
         return out
 
     def codewords(self) -> dict[Letter, str]:
@@ -190,11 +155,11 @@ def _distance_table(C: CodeTree, P: Distribution, D: DistanceMatrix) -> list[tup
     p = np.asarray(P.probs, dtype=float)[order]
     Dl = D.matrix[np.ix_(order, order)]
     rows = []
-    for i, r in enumerate(C._right):
-        if r < 0:
+    for i, k in enumerate(C._kids):
+        if not k:
             rows.append((0.0, 0.0, 0.0))
             continue
-        a, m, b = C._lo[i], C._lo[r], C._hi[i]
+        a, m, b = C._lo[i], C._lo[k[1]], C._hi[i]
         (wl, ml), (wr, mr) = _weights(p[a:m]), _weights(p[m:b])
         rows.append((ml + mr, ml, float(wl @ Dl[a:m, m:b] @ wr)))
     return rows
@@ -233,10 +198,10 @@ def _merit_table(C: CodeTree, X: StructuredAlphabet) -> list[tuple[float, float]
     letters = [C.alphabet.letters[j] for j in C._order]
     probs = [X.P.probs[j] for j in C._order]
     rows = []
-    for i, r in enumerate(C._right):
+    for i, k in enumerate(C._kids):
         w = merit = 0.0
-        if r >= 0:
-            a, m, b = C._lo[i], C._lo[r], C._hi[i]
+        if k:
+            a, m, b = C._lo[i], C._lo[k[1]], C._hi[i]
             w = math.fsum(probs[a:b])
             if w > 0.0:
                 try:
@@ -277,20 +242,6 @@ class OptimizeTrace:
     @property
     def restarts(self) -> int:
         return len(self.rewrites)
-
-
-class _RestartGuard:
-    def __init__(self, cap: int):
-        self.cap = cap
-        self.count = 0
-
-    def bump(self) -> None:
-        self.count += 1
-        if self.count > self.cap:
-            raise ValidationError(
-                "code optimization exceeded its restart budget; "
-                "this is not expected for any ultrametric input"
-            )
 
 
 def _pair_blocks(blocks: list[tuple[float, str, CodeNode]]) -> CodeNode:
@@ -458,13 +409,13 @@ def _build(shape, blocks: list[CodeNode], tab: _Shapes, cost: np.ndarray) -> Cod
 
 
 def _optimize_node(
-    root: CodeNode, P: Distribution, D: DistanceMatrix, guard: _RestartGuard, trace: OptimizeTrace
+    root: CodeNode, P: Distribution, D: DistanceMatrix, cap: int, trace: OptimizeTrace
 ) -> CodeNode:
     """Optimize the internal node ``root`` on an explicit stack of frames
     [node, its optimized left branch or None].  A node's blocks are
     rearranged once both its branches are optimized; when an arrangement
     wins, the frame starts over on the rewritten node.  A node marked
-    ``_opt`` is not visited again."""
+    ``_opt`` is not visited again.  More than ``cap`` rewrites fail."""
     stack: list[list] = [[root, None]]
     done = None  # what the frame closed last returned
     while stack:
@@ -493,8 +444,12 @@ def _optimize_node(
             base = inner + scores[own]
             best = int(np.argmin(scores))
             if inner + scores[best] < base - 1e-12 * max(1.0, abs(base)):
-                guard.bump()
                 trace.rewrites.append((float(base), float(inner + scores[best])))
+                if len(trace.rewrites) > cap:
+                    raise ValidationError(
+                        "code optimization exceeded its restart budget; "
+                        "this is not expected for any ultrametric input"
+                    )
                 frame[:] = [_build(tab.shapes[best], blocks, tab, cost), None]
                 continue
             if L is not nd.left or R is not nd.right:
@@ -531,21 +486,20 @@ def _optimize_on(T: UltrametricTree, P: Distribution, D: DistanceMatrix) -> tupl
     C0 = initial_code_tree(T, P)
     p = np.asarray(P.probs, dtype=float)
     table = _distance_table(C0, P, D)
-    nodes, right = C0._nodes, C0._right
+    nodes, kids = C0._nodes, C0._kids
     for i in reversed(range(len(nodes))):  # children first
-        nd, r = nodes[i], right[i]
-        if r < 0:
+        nd, k = nodes[i], kids[i]
+        if not k:
             j = C0._order[C0._lo[i]]
             nd._vec, nd._contrib = np.zeros((2, len(p))), 0.0
             nd._vec[0, j], nd._vec[1] = p[j], D.matrix[:, j] * p[j]
         else:
-            L, R = nodes[i + 1], nodes[r]
+            L, R = nodes[k[0]], nodes[k[1]]
             nd._vec = L._vec + R._vec
             nd._contrib = table[i][0] * table[i][2] + L._contrib + R._contrib
     trace = OptimizeTrace(initial=C0.root._contrib)
     n = len(T.alphabet)
-    guard = _RestartGuard(cap=max(100, 10 * n * n))
-    root = _optimize_node(C0.root, P, D, guard, trace)
+    root = _optimize_node(C0.root, P, D, max(100, 10 * n * n), trace)
     trace.final = root._contrib
     return CodeTree(T.alphabet, root), trace
 

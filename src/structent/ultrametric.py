@@ -15,21 +15,22 @@ four independent ways that provably agree:
 * ``hu_bandwise``   - horizontal bands of the tree, each band contributing
   its width times the entropy of its level partition.
 
-Every tree keeps one flat array view of its nodes, built once by
-``UltrametricTree`` in the same pass that validates it.  Position 0 is the
-root and positions follow the preorder of ``nodes()``; each position has a
-parent position (-1 for the root), a height, its child positions in the
-children's own order, and a ``[lo, hi)`` range into one depth-first order of
-the leaves, so every subtree owns a contiguous run of letters.  The tree
-algorithms read this view: masses run bottom-up over reversed positions,
-rebuilds fold children first on an explicit stack, ``tree_to_distance``
-fills whole cross-child blocks, and bands are cut from level indices, so no
-algorithm recurses and none builds the banded copy of a tree.
+These trees and the code trees of :mod:`structent.coding` keep one flat
+array view of their nodes, built by one walk (``_preorder``) that checks the
+leaves.  Position 0 is the root and positions follow the walk's preorder;
+each position has a parent position (-1 for the root), its child positions
+in the children's own order, a ``[lo, hi)`` range into one depth-first order
+of the leaves, so every subtree owns a contiguous run of letters, and here a
+height.  The tree algorithms read this view: masses run bottom-up over
+reversed positions, rebuilds fold children first on an explicit stack,
+``tree_to_distance`` fills whole cross-child blocks, and bands are cut from
+level indices, so no algorithm recurses and none builds the banded copy.
 """
 
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -131,7 +132,25 @@ def _weights(v: np.ndarray) -> tuple[np.ndarray, float]:
     return np.full(len(v), 1.0 / len(v)), t
 
 
-class TreeNode:
+class _Node:
+    """The base of both tree kinds' nodes: a letter, or ``children``."""
+
+    __slots__ = ()
+
+    @property
+    def leaves(self) -> frozenset:
+        """The letters under this node, collected on each call."""
+        out, stack = [], [self]
+        while stack:
+            nd = stack.pop()
+            if nd.children:
+                stack += nd.children
+            else:
+                out.append(nd.letter)
+        return frozenset(out)
+
+
+class TreeNode(_Node):
     """One node of an ultrametric tree.  Leaves carry a letter and height 0;
     internal nodes carry a height and at least two children (pass-through
     nodes produced by banding have exactly one)."""
@@ -147,17 +166,6 @@ class TreeNode:
     @property
     def is_leaf(self) -> bool:
         return not self.children
-
-    @property
-    def leaves(self) -> frozenset:
-        """The letters under this node, collected on each call."""
-        out, stack = [], [self]
-        while stack:
-            nd = stack.pop()
-            if nd.is_leaf:
-                out.append(nd.letter)
-            stack += nd.children
-        return frozenset(out)
 
     def __repr__(self) -> str:
         if self.is_leaf:
@@ -190,6 +198,50 @@ def _unfold(seed, split, make):
     return built[0]
 
 
+def _preorder(root, alphabet: Alphabet, visit, kind: str = ""):
+    """The view of the tree under ``root``: ``nodes`` in walk order and, by
+    position, ``parent`` (-1 at the root), ``kids`` in walk order (``()`` at
+    a leaf) and the ``[lo, hi)`` range in ``order``, the alphabet indices of
+    the leaves.  The walk checks the leaves; ``kind`` names them in errors.
+
+    The walk takes the last child ``visit(node)`` lists first.  Each tree
+    kind keeps its order, since ``hu_arcwise`` and ``hu_nodewise`` add in
+    position order and the code costs take dot products in leaf order: an
+    ultrametric tree lists its children, and a code tree (right, left).
+    """
+    index = alphabet._index
+    nodes, parent, kids, lo, order = [], [], [], [], []
+    stack = [(root, -1)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        nd, p = pop()
+        i = len(nodes)
+        nodes.append(nd)
+        parent.append(p)
+        lo.append(len(order))
+        if p >= 0:
+            kids[p].append(i)
+        children = visit(nd)
+        kids.append([] if children else ())
+        if children:
+            for c in children:
+                push((c, i))
+            continue
+        if nd.letter not in index:
+            raise ValidationError(f"{kind}leaf {nd.letter!r} not in alphabet")
+        order.append(index[nd.letter])
+    if len(set(order)) < len(order):  # name the first letter walked twice
+        seen: set = set()
+        dup = next(nd.letter for nd, k in zip(nodes, kids) if not k and (nd.letter in seen or seen.add(nd.letter)))
+        raise ValidationError(f"duplicate {kind}leaf {dup!r}")
+    if len(order) != len(alphabet):
+        raise ValidationError(f"{kind}tree leaves must cover the alphabet exactly")
+    hi = [0] * len(nodes)
+    for i in reversed(range(len(nodes))):  # a subtree's leaves end with its last child's
+        hi[i] = hi[kids[i][-1]] if kids[i] else lo[i] + 1
+    return nodes, parent, kids, lo, hi, order
+
+
 class UltrametricTree:
     """A rooted tree with equidistant leaves, identified with an ultrametric
     distance via height of the lowest common ancestor."""
@@ -199,55 +251,27 @@ class UltrametricTree:
     def __init__(self, alphabet: Alphabet, root: TreeNode):
         self.alphabet = alphabet
         self.root = root
-        index = alphabet._index
-        tol = HEIGHT_TOL * max(1.0, root.height)
-        nodes, parent, kids, lo, order = [], [], [], [], []
-        seen: set = set()
-        stack = [(root, -1)]
-        while stack:  # the preorder of nodes()
-            nd, p = stack.pop()
-            i = len(nodes)
-            nodes.append(nd)
-            parent.append(p)
-            kids.append([])
-            lo.append(len(order))
-            if p >= 0:
-                kids[p].append(i)
-            if nd.is_leaf:
-                if nd.letter not in index:
-                    raise ValidationError(f"leaf {nd.letter!r} not in alphabet")
-                if nd.letter in seen:
-                    raise ValidationError(f"duplicate leaf {nd.letter!r}")
-                seen.add(nd.letter)
-                if abs(nd.height) > 1e-12:
+        self._nodes, self._parent, self._kids, self._lo, self._hi, self._order = _preorder(
+            root, alphabet, attrgetter("children")
+        )
+        kids, self._height = self._kids, [nd.height for nd in self._nodes]
+        height, tol = self._height, HEIGHT_TOL * max(1.0, root.height)
+        for nd, k in zip(self._nodes, kids):
+            h = nd.height
+            if not k:
+                if abs(h) > 1e-12:
                     raise ValidationError("leaves must have height 0")
-                order.append(index[nd.letter])
                 continue
-            if len(nd.children) < 2 and not nd.passthrough:
+            k.reverse()  # the walk took the children last to first
+            if len(k) < 2 and not nd.passthrough:
                 raise ValidationError("internal nodes need at least two children")
-            if nd.height < -1e-12:
+            if h < -1e-12:
                 raise ValidationError("heights must be non-negative")
-            for c in nd.children:
-                if c.height > nd.height + tol:
+            for c in k:
+                if height[c] > h + tol:
                     raise ValidationError("child height exceeds parent height")
-                if not c.is_leaf and c.height >= nd.height - tol and nd.height > tol:
+                if kids[c] and height[c] >= h - tol and h > tol:
                     raise ValidationError("internal child must sit strictly below its parent")
-                stack.append((c, i))
-        if len(seen) != len(alphabet):
-            raise ValidationError("tree leaves must cover the alphabet exactly")
-        # the stack visits children last to first: reverse each child list,
-        # and a subtree's leaves end where its first child's leaves end
-        hi = [0] * len(nodes)
-        for i in reversed(range(len(nodes))):
-            kids[i].reverse()
-            hi[i] = hi[kids[i][0]] if kids[i] else lo[i] + 1
-        self._nodes = nodes
-        self._parent = parent
-        self._height = [nd.height for nd in nodes]
-        self._kids = kids
-        self._lo = lo
-        self._hi = hi
-        self._order = order
 
     def _fold(self, f):
         """Evaluate ``f(i, [results of i's children])`` at every position,

@@ -348,6 +348,23 @@ class TestCode:
                 if v is not w:
                     assert not v.startswith(w)
 
+    @pytest.mark.parametrize("newick, esscl", [
+        ("(a:0.5,((b:0.1,c:0.1):0.15,d:0.25):0.25);", 0.808900859584),
+        ("((a:0.25,(b:0.1,c:0.1):0.15):0.25,d:0.5);", 0.80675047084),
+    ])
+    def test_esscl_with_a_tiny_letter(self, capsys, tmp_path, newick, esscl):
+        # 800-digit decimal values; the split merits once printed
+        # -1.1140347743e+281 and 1.10657432757 here
+        tree, probs, structure = tmp_path / "t.nwk", tmp_path / "p.json", tmp_path / "s.json"
+        tree.write_text(newick)
+        probs.write_text('{"alphabet": ["a", "b", "c", "d"], "probs": [1e-300, 0.1, 0.2, 0.7]}')
+        structure.write_text('{"alphabet": ["a", "b", "c", "d"], '
+                             '"partitions": [{"measure": 1.0, "components": [["a", "c"], ["b", "d"]]}]}')
+        code, out = run(capsys, ["code", "--tree", str(tree), "--probs", str(probs), "--structure", str(structure)])
+        assert code == 0
+        assert out["ESSCL"] == esscl
+        assert out["ESSCL"] >= out["H_S"]
+
     def test_needs_exactly_one_source(self, capsys, files):
         code, _ = run(capsys, ["code", "--probs", str(files["uniform"])])
         assert code == 1

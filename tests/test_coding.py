@@ -337,6 +337,26 @@ class TestOptimize:
             for before, after in trace.rewrites:
                 assert after < before
 
+    def test_restart_budget_is_the_trace_length(self, monkeypatch):
+        import structent.coding as coding
+
+        rng = np.random.default_rng(4)
+        T = random_ultrametric_tree(20, rng)
+        P = random_distribution(T.alphabet, rng)
+        C, trace = optimize_with_trace(T, P)
+        r = len(trace.rewrites)
+        assert r >= 1
+        real = coding._optimize_node
+        for cap in (r - 1, r):  # the cap replaces the budget of max(100, 10 n^2)
+            monkeypatch.setattr(
+                coding, "_optimize_node", lambda root, P, D, _, trace, cap=cap: real(root, P, D, cap, trace)
+            )
+            if cap < r:
+                with pytest.raises(ValidationError, match="exceeded its restart budget"):
+                    optimize(T, P)
+            else:
+                assert list(optimize(T, P).codewords().items()) == list(C.codewords().items())
+
     def test_result_between_exhaustive_optimum_and_entropy_bound(self):
         rng = np.random.default_rng(71)
         for _ in range(20):

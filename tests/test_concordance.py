@@ -214,6 +214,32 @@ class TestDHat:
         assert d_hat(t, S, P) == pytest.approx(1.0, abs=1e-12)
 
 
+    def test_tiny_side_worked_value(self, abcd):
+        # the old numerator H(s) - H(s join t) + H(t) was a difference of O(1)
+        # terms over H(t) ~ 1e-297: it gave -1.114e281
+        P = Distribution(abcd, [1e-300, 0.1, 0.2, 0.7])
+        S = PartitionStructure(abcd, [(Partition(abcd, [["a", "c"], ["b", "d"]]), 1.0)])
+        for t in (BinarySplit(["a"], ["b", "c", "d"]), BinarySplit(["b", "c", "d"], ["a"])):
+            assert d_hat(t, S, P) == pytest.approx(oracles.d_hat_decimal(t.left, t.right, S, P), abs=1e-12)
+            assert d_hat(t, S, P) == pytest.approx(0.0023265320144, abs=1e-12)
+
+    @pytest.mark.parametrize("tiny", [1e-12, 1e-30, 1e-300])
+    @pytest.mark.parametrize("tiny_on_left", [True, False])
+    def test_tiny_side_matches_decimal_oracle(self, tiny, tiny_on_left):
+        rng = np.random.default_rng(int(-math.log10(tiny)) + tiny_on_left)
+        for _ in range(15):
+            A = default_letters(int(rng.integers(3, 8)))
+            probs = rng.dirichlet(np.ones(len(A)))
+            probs[0] = tiny
+            P = Distribution(A, probs, renormalize=True)
+            S = random_structure(A, rng, normalized=bool(rng.integers(0, 2)))
+            rest = [a for a in A.letters[1:] if rng.integers(0, 3)] or [A.letters[1]]  # may not cover A
+            t = BinarySplit([A.letters[0]], rest) if tiny_on_left else BinarySplit(rest, [A.letters[0]])
+            ref = oracles.d_hat_decimal(t.left, t.right, S, P)
+            assert d_hat(t, S, P) == pytest.approx(ref, abs=1e-12)
+            assert -1e-12 <= ref <= S.total_measure + 1e-12
+
+
 class TestGroupingDecompose:
     def test_worked_identity(self, abcd, uniform4, mixed_structure):
         X = StructuredAlphabet(uniform4, mixed_structure)
