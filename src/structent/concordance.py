@@ -26,7 +26,6 @@ from .alphabet import (
     Letter,
     Partition,
     PartitionStructure,
-    join,
     reduced_probs,
     restrict_distribution,
     restrict_structure,
@@ -68,28 +67,46 @@ class BinarySplit:
         return Partition(alphabet, [self.left, self.right])
 
 
+def _entropies(t: np.ndarray, labels: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """H(t) and then H(t | s) for each label row s of ``labels``, for the
+    label row ``t`` under the masses ``p``.  Each part of a block (its mass
+    inside one block of t) is its own sum; in each block the largest part's
+    term takes log1p of the other parts' share and the others log2 of their
+    own, so every term is non-negative and a tiny part keeps its accuracy."""
+    labels = np.vstack([np.zeros(len(p), dtype=np.intp), labels])  # row 0 has one block
+    (k, n), kt = labels.shape, int(t.max()) + 1
+    bins = ((labels + n * np.arange(k)[:, None]) * kt + t).ravel()  # part c of block b of row r
+    parts = np.bincount(bins, np.tile(p, k), k * n * kt).reshape(k, n, kt) / p.sum()
+    big = parts.argmax(axis=2)[..., None]
+    largest = np.take_along_axis(parts, big, 2)
+    others = np.where(np.arange(kt) == big, 0.0, parts)
+    rest = others.sum(axis=2, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        block = largest + rest
+        minor = np.where(others > 0.0, others * np.log2(others / block), 0.0).sum(axis=2, keepdims=True)
+        terms = -(minor + largest * (np.log1p(-rest / block) / math.log(2.0)))
+    return np.where(rest > 0.0, terms, 0.0).sum(axis=(1, 2))
+
+
 def concordance(t: Partition, s: Partition, P: Distribution) -> float:
-    """C(t, s) as defined above; requires H(P^t) > 0."""
+    """C(t, s) as defined above, as [H(t) - H(t | s)] / H(t); requires
+    H(P^t) > 0."""
     if t.alphabet != P.alphabet or s.alphabet != P.alphabet:
         raise AlphabetMismatch("partitions and distribution must share an alphabet")
-    ht = entropy(reduced_probs(P, t))
-    if ht <= 0.0:
+    h = _entropies(t.labels, s.labels[None, :], np.asarray(P.probs, dtype=float))
+    if h[0] <= 0.0:
         raise DegenerateSplit("the reference partition carries no entropy")
-    hs_ = entropy(reduced_probs(P, s))
-    hj = entropy(reduced_probs(P, join(s, t)))
-    return (hs_ - hj + ht) / ht
+    return float((h[0] - h[1]) / h[0])
 
 
 def _conditioned(split: BinarySplit, S: PartitionStructure, P: Distribution):
-    """Condition structure and distribution on the split's union when the
+    """Structure and distribution conditioned on the split's union when the
     split does not cover the whole alphabet."""
     A = S.alphabet
     union = A.check_subset(split.union)
     if union == frozenset(A.letters):
-        return split, S, P
-    Pc = restrict_distribution(P, union)
-    Sc = restrict_structure(S, union)
-    return split, Sc, Pc
+        return S, P
+    return restrict_structure(S, union), restrict_distribution(P, union)
 
 
 def d_hat(split: BinarySplit, S: PartitionStructure, P: Distribution) -> float:
@@ -108,21 +125,10 @@ def d_hat(split: BinarySplit, S: PartitionStructure, P: Distribution) -> float:
     """
     if S.alphabet != P.alphabet:
         raise AlphabetMismatch("structure and distribution must share an alphabet")
-    split, S, P = _conditioned(split, S, P)
-    p = np.asarray(P.probs, dtype=float)
-    on_left = np.array([a in split.left for a in P.alphabet.letters])
-    pl, pr = np.where(on_left, p, 0.0), np.where(on_left, 0.0, p)
+    S, P = _conditioned(split, S, P)
+    t = np.array([a in split.right for a in P.alphabet.letters], dtype=np.intp)
     m = np.asarray(S.measures, dtype=float)
-    labels = np.vstack([np.zeros(len(p), dtype=np.intp), S.labels[m > 0.0]])  # row 0 has one block
-    k, n = labels.shape
-    blocks = (labels + n * np.arange(k)[:, None]).ravel()  # block b of row r is bin r * n + b
-    total = pl.sum() + pr.sum()
-    left, right = (np.bincount(blocks, np.tile(q, k), k * n).reshape(k, n) / total for q in (pl, pr))
-    small, big = np.minimum(left, right), np.maximum(left, right)
-    with np.errstate(divide="ignore", invalid="ignore"):  # the smaller part takes log2, the larger log1p
-        share = small / (left + right)
-        terms = -(small * np.log2(share) + big * (np.log1p(-share) / math.log(2.0)))
-    h = np.where(small > 0.0, terms, 0.0).sum(axis=1)  # H(t | s) by row, so H(t) in row 0
+    h = _entropies(t, S.labels[m > 0.0], np.asarray(P.probs, dtype=float))
     if h[0] <= 0.0:
         raise DegenerateSplit("split carries no entropy under this distribution")
     return float(m[m > 0.0] @ (h[0] - h[1:])) / float(h[0])
@@ -137,7 +143,7 @@ def d_hat_via_entropy_gap(split: BinarySplit, S: PartitionStructure, P: Distribu
     """
     if S.alphabet != P.alphabet:
         raise AlphabetMismatch("structure and distribution must share an alphabet")
-    split, S, P = _conditioned(split, S, P)
+    S, P = _conditioned(split, S, P)
     t = split.as_partition(P.alphabet)
     ht = entropy(reduced_probs(P, t))
     if ht <= 0.0:
@@ -165,10 +171,10 @@ def grouping_decompose(
 
         H_S = merit * H(P^t) + sum_j P(A_j) * parts[j].
     """
-    split_c, S, P = _conditioned(split, X.S, X.P)
-    merit = d_hat(split_c, S, P)
+    S, P = _conditioned(split, X.S, X.P)
+    merit = d_hat(split, S, P)
     parts: list[float] = []
-    for side in (split_c.left, split_c.right):
+    for side in (split.left, split.right):
         if len(side) == 1 or P.mass(side) <= 0.0:
             parts.append(0.0)
             continue

@@ -6,9 +6,10 @@ reduced distribution, and sum weighted by the partition measures.  Under the
 traditional structure (singletons, measure 1) each notion collapses exactly
 to its classical counterpart.
 
-The joint notions read one pair table per :class:`StructuredJoint`.  It sums
-the joint's rows through every column partition first, then that table's
-rows through each row partition, and keeps each pair's three entropies.
+The joint notions read one pair table per :class:`StructuredJoint`.  A
+reduced joint is the product onehot(sA).T @ (P @ onehot(sB)); the table
+keeps each pair's joint entropy next to the entropies of the two reduced
+marginals, each taken once per partition.
 
 All logarithms are base 2; values are in bits.  The conventions
 0 * log(0) = 0 and 0 * log(0/0) = 0 apply throughout.
@@ -34,10 +35,6 @@ from .alphabet import (
     reduced_probs,
 )
 from .errors import AlphabetMismatch, NotNormalized, ValidationError
-
-#: joint cells reduced per ``bincount`` in a pair table: bounds its temporaries
-_BATCH_CELLS = 1 << 22
-
 
 # ---------------------------------------------------------------- kernels
 
@@ -71,6 +68,11 @@ def kl_divergence(p: Sequence[float], q: Sequence[float]) -> float:
 
 
 # ------------------------------------------------------------ structured
+
+
+def _onehot(labels: np.ndarray) -> np.ndarray:
+    """The letters x blocks 0/1 matrix of a partition's label row."""
+    return np.eye(labels.max() + 1)[labels]
 
 
 @dataclass(frozen=True)
@@ -124,13 +126,11 @@ class JointDistribution:
         return Distribution(self.col_alphabet, self.matrix.sum(axis=0), renormalize=False)
 
     def reduced(self, sA: Partition, sB: Partition) -> np.ndarray:
-        """Joint matrix over components of sA x components of sB: each row
-        summed by column block, then the rows by row block, in index order."""
+        """Joint matrix over components of sA x components of sB:
+        onehot(sA).T @ (matrix @ onehot(sB))."""
         if sA.alphabet != self.row_alphabet or sB.alphabet != self.col_alphabet:
             raise AlphabetMismatch("partition alphabets do not match the joint")
-        kA, kB = len(sA), len(sB)
-        rows = np.bincount((kB * np.arange(len(sA.labels))[:, None] + sB.labels).ravel(), weights=self.matrix.ravel())
-        return np.bincount((kB * sA.labels[:, None] + np.arange(kB)).ravel(), weights=rows).reshape(kA, kB)
+        return _onehot(sA.labels).T @ (self.matrix @ _onehot(sB.labels))
 
 
 @dataclass(frozen=True)
@@ -149,45 +149,20 @@ class StructuredJoint:
 
     @cached_property
     def _pairs(self) -> list[tuple[float, float, float, float]]:
-        """(mA * mB, H(reduced joint), H(its row sums), H(its column sums))
-        for every pair of positive-measure partitions, row partitions
-        outermost.  The two stages of :meth:`JointDistribution.reduced` run
-        for all pairs: one ``bincount`` per batch of column partitions sums
-        each row by column block into an n x sum(kB) table, then one per row
-        partition sums that table's rows by row block, partition b's block as
-        a kA x kB[b] run.  Column partitions go in by size: one ``sum`` per
-        axis covers a size."""
-        M, rows = self.joint.matrix, [(s, m) for s, m in self.SA.items() if m > 0.0]
-        mB = [m for m in self.SB.measures if m > 0.0]
-        if not (rows and mB):
-            return []
-        LB = self.SB.labels[np.array(self.SB.measures) > 0.0]
-        kB = LB.max(axis=1) + 1
-        order = np.argsort(kB, kind="stable")  # blocks of one size side by side
-        LB, kB = LB[order], kB[order]
-        start = np.cumsum(kB) - kB  # first table column of each column partition
-        n, table = len(M), np.empty((len(M), int(kB.sum())))
-        step = max(1, _BATCH_CELLS // M.size)  # column partitions per bincount
-        weights = np.tile(M.ravel(), min(step, len(mB)))
-        for b0 in range(0, len(mB), step):  # bin of cell (i, j): i * width + column
-            c0, c1 = start[b0], start[b0] + kB[b0 : b0 + step].sum()
-            bins = ((start[b0 : b0 + step] - c0)[:, None] + (c1 - c0) * np.arange(n))[:, :, None] + LB[b0 : b0 + step, None, :]
-            table[:, c0:c1] = np.bincount(bins.ravel(), weights=weights[: bins.size]).reshape(n, c1 - c0)
-        part = np.repeat(np.arange(len(kB)), kB)  # column partition of each table column
-        ends = [*np.flatnonzero(np.diff(kB)) + 1, len(kB)]
+        """(mA * mB, H(reduced joint), H(reduced row marginal), H(reduced
+        column marginal)) for every pair of positive-measure partitions, row
+        partitions outermost.  Each pair's block is the product of
+        :meth:`JointDistribution.reduced`, with ``matrix @ onehot(sB)`` taken
+        once per column partition; each marginal's entropy is taken once per
+        partition."""
+        J = self.joint
+        PA, PB = J.row_marginal(), J.col_marginal()
+        cols = [(J.matrix @ _onehot(sB.labels), mB, entropy(reduced_probs(PB, sB))) for sB, mB in self.SB.items() if mB > 0.0]
         pairs = []
-        for sA, mA in rows:
-            kA, row = len(sA), [None] * len(mB)
-            bins = (kA - 1) * start[part] + np.arange(len(part)) + kB[part] * sA.labels[:, None]
-            red = np.bincount(bins.ravel(), weights=table.ravel())
-            flat = red.tolist()
-            for i0, i1 in zip([0, *ends], ends):  # the blocks of one size
-                kb, lo = int(kB[i0]), kA * int(start[i0])
-                blocks = red[lo : lo + (i1 - i0) * kA * kb].reshape(i1 - i0, kA, kb)
-                sums = zip(blocks.sum(axis=2).tolist(), blocks.sum(axis=1).tolist())
-                for b, lo, (r, c) in zip(order[i0:i1].tolist(), (kA * start[i0:i1]).tolist(), sums):
-                    row[b] = (mA * mB[b], entropy(flat[lo : lo + kA * kb]), entropy(r), entropy(c))
-            pairs += row
+        for sA, mA in self.SA.items():
+            if mA > 0.0:
+                OA, hA = _onehot(sA.labels).T, entropy(reduced_probs(PA, sA))
+                pairs += [(mA * mB, entropy((OA @ MB).ravel()), hA, hB) for MB, mB, hB in cols]
         return pairs
 
 

@@ -21,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .alphabet import Distribution, Partition, PartitionStructure, build_q
+from .alphabet import PROB_TOL, Distribution, Partition, PartitionStructure, build_q
 from .errors import NotNormalized, SpaceTooLarge, ValidationError
 from .notions import StructuredAlphabet, entropy, h_s
 
@@ -48,7 +48,9 @@ class SequenceSpace:
         if len(self.symbols) != len(self.probs):
             raise ValidationError("one probability per symbol required")
         total = math.fsum(self.probs)
-        if abs(total - 1.0) > 1e-9:
+        # pair weights multiply two sums, each within PROB_TOL of 1
+        tol = (2.0 + PROB_TOL) * PROB_TOL if self.kind == "S-pairs" else PROB_TOL
+        if abs(total - 1.0) > tol:
             raise ValidationError(f"symbol probabilities sum to {total!r}, expected 1")
 
     @property

@@ -35,7 +35,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .alphabet import Alphabet, Distribution, Letter, Partition, PartitionStructure
+from .alphabet import Alphabet, Distribution, Letter, Partition, PartitionStructure, restrict_distribution
 from .errors import (
     NotNormalized,
     NotUltrametric,
@@ -542,10 +542,7 @@ def check_binary_partition_minimality(
     for side, w in zip(sides, weights):
         if len(side) == 1:
             continue
-        sub_alpha = T.alphabet.restricted(side)
-        sub_P = Distribution(sub_alpha, [P.p(a) / w for a in sub_alpha], renormalize=True)
-        sub_T = tree_from_distance(D.submatrix(side))
-        rhs += w * hu_arcwise(sub_T, sub_P)
+        rhs += w * hu_arcwise(tree_from_distance(D.submatrix(side)), restrict_distribution(P, side))
     return hu_arcwise(T, P), rhs
 
 

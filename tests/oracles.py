@@ -215,6 +215,25 @@ def d_hat_decimal(left, right, S, P, digits: int = 400) -> float:
         return float(out / ht)
 
 
+def concordance_decimal(t, s, P, digits: int = 400) -> float:
+    """C(t, s) by its defining formula (H(s) - H(s join t) + H(t)) / H(t)
+    for partitions of any number of blocks, in ``digits``-digit decimal
+    arithmetic, ``P`` normalized to its exact sum."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        prob = dict(zip(P.alphabet.letters, map(decimal.Decimal, P.probs)))
+        total = sum(prob.values())
+        ln2 = decimal.Decimal(2).ln()
+
+        def H(blocks) -> decimal.Decimal:
+            masses = [sum(prob[a] for a in b) / total for b in blocks]
+            return -sum(q * q.ln() for q in masses if q > 0) / ln2
+
+        tb, sb = ([set(c) for c in x.components] for x in (t, s))
+        ht = H(tb)
+        return float((H(sb) - H([b & c for b in sb for c in tb if b & c]) + ht) / ht)
+
+
 def _merged_items(pairs) -> list:
     """(block set, measure) pairs with equal block sets merged in order of
     first appearance, measures summed in that order."""

@@ -464,6 +464,22 @@ class TestSequences:
         assert out["class_count"] >= 1
         assert out["h_s"] == pytest.approx(1.6, abs=1e-9)
 
+    def test_sums_within_prob_tol_accepted(self, capsys, tmp_path):
+        # both sums are off by 1e-9: hs accepts them, so sequences must too
+        probs = tmp_path / "p.json"
+        probs.write_text('{"alphabet": ["a", "b"], "probs": [0.5, 0.500000001]}')
+        common = ["--length", "4", "--epsilon", "0.1"]
+        assert run(capsys, ["sequences", "--probs", str(probs), *common])[0] == 0
+        uniform = tmp_path / "u.json"
+        uniform.write_text('{"alphabet": ["a", "b"], "probs": [0.5, 0.5]}')
+        structure = tmp_path / "s.json"
+        structure.write_text('{"alphabet": ["a", "b"],'
+                             ' "partitions": [{"measure": 1.000000001, "components": [["a"], ["b"]]}]}')
+        code, out = run(capsys, ["hs", "--probs", str(uniform), "--structure", str(structure)])
+        assert code == 0 and out["is_normalized"] is True
+        argv = ["sequences", "--probs", str(uniform), "--structure", str(structure), *common]
+        assert run(capsys, argv)[0] == 0
+
 
     def test_cap_inputs_stay_small(self, tmp_path):
         # a fresh interpreter runs both modes at the enumeration cap (4**12

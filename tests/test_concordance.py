@@ -105,6 +105,33 @@ class TestConcordance:
         with pytest.raises(DegenerateSplit):
             concordance(t, s, P)
 
+    def test_tiny_block_worked_value(self, abcd):
+        # the old numerator H(s) - H(s join t) + H(t) was a difference of O(1)
+        # terms over H(t) ~ 1e-297: it gave -1.114e281
+        P = Distribution(abcd, [1e-300, 0.1, 0.2, 0.7])
+        t = Partition(abcd, [["a"], ["b", "c", "d"]])
+        s = Partition(abcd, [["a", "c"], ["b", "d"]])
+        assert concordance(t, s, P) == pytest.approx(oracles.concordance_decimal(t, s, P), abs=1e-12)
+        assert concordance(t, s, P) == pytest.approx(0.0023265320144, abs=1e-12)
+
+    @pytest.mark.parametrize("tiny_first", [True, False])
+    def test_tiny_blocks_of_three_match_decimal_oracle(self, tiny_first):
+        # t = {x} | {y} | rest with P(x) = 1e-300 and P(y) = 1e-250, so H(t) is
+        # tiny; x and y are the first or the last letters
+        rng = np.random.default_rng(48 + tiny_first)
+        for _ in range(20):
+            A = default_letters(int(rng.integers(4, 8)))
+            x, y = (0, 1) if tiny_first else (len(A) - 1, len(A) - 2)
+            probs = rng.dirichlet(np.ones(len(A)))
+            probs[x], probs[y] = 1e-300, 1e-250
+            P = Distribution(A, probs, renormalize=True)
+            rest = [a for i, a in enumerate(A.letters) if i not in (x, y)]
+            t = Partition(A, [[A.letters[x]], [A.letters[y]], rest])
+            s = random_partition(A, rng)
+            ref = oracles.concordance_decimal(t, s, P)
+            assert concordance(t, s, P) == pytest.approx(ref, abs=1e-12)
+            assert -1e-12 <= ref <= 1.0 + 1e-12
+
     def test_join_entropy_sandwich(self):
         rng = np.random.default_rng(42)
         for _ in range(100):

@@ -22,7 +22,14 @@ import tempfile
 import numpy as np
 import pytest
 
-from structent import distribution_to_json, structure_to_json, tree_to_newick, tree_to_distance
+from structent import (
+    LinearAlphabet,
+    distribution_to_json,
+    linear_structure,
+    structure_to_json,
+    tree_to_distance,
+    tree_to_newick,
+)
 from structent.cli import main
 from structent.io import distance_to_csv
 from structent.sampling import (
@@ -61,6 +68,8 @@ CASES = {
                            "--length", "7", "--epsilon", "0.2"], []),
     "conserve": (["conserve", "--aln", "{d}/aln.fasta", "--gap-mode", "extra-letter",
                   "--out", "{d}/conserve.csv"], ["conserve.csv"]),
+    "notions_joint_line": (["notions", "--joint", "{d}/line_joint.json", "--row-structure", "{d}/line_rows.json",
+                            "--col-structure", "{d}/line_cols.json"], []),
 }
 
 
@@ -98,6 +107,11 @@ def write_inputs(d: str) -> None:
     put("sample.csv", "".join(f"{x!r}\n" for x in np.round(rng.normal(size=11), 2).tolist()))
     residues = np.array(list("ACDEFGHIKLMNPQRSTVWY-"))
     put("aln.fasta", "".join(f">r{k}\n{''.join(residues[rng.integers(0, 21, size=16)])}\n" for k in range(5)))
+    lines = [LinearAlphabet(np.cumsum(rng.uniform(0.05, 0.2, size=12)).tolist()) for _ in range(2)]
+    put("line_joint.json", json.dumps({"row_alphabet": list(lines[0].points), "col_alphabet": list(lines[1].points),
+                                       "matrix": random_joint_matrix(12, 12, rng).tolist()}))
+    put("line_rows.json", structure_to_json(linear_structure(lines[0])))
+    put("line_cols.json", structure_to_json(linear_structure(lines[1])))
 
 
 def run_case(name: str, d: str) -> tuple[int, str, str, dict]:

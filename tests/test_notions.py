@@ -35,6 +35,7 @@ from structent import (
     linear_structure,
     power_structure,
     product_structure,
+    reduced_probs,
     to_partition_structure,
 )
 from structent.sampling import (
@@ -262,24 +263,23 @@ def joint_with_zeros(rng):
 
 def per_pair_values(J):
     """The four joint notions with one JointDistribution.reduced call per
-    pair of positive-measure partitions, in the per-pair loop's expressions
-    and summation order."""
+    pair of positive-measure partitions and each side's entropy taken from
+    the joint's marginal reduced by that side's partition, in the per-pair
+    loop's expressions and summation order."""
+    PA, PB = J.joint.row_marginal(), J.joint.col_marginal()
     pairs = [
-        (mA * mB, J.joint.reduced(sA, sB))
+        (mA * mB, J.joint.reduced(sA, sB), entropy(reduced_probs(PA, sA)), entropy(reduced_probs(PB, sB)))
         for sA, mA in J.SA.items() if mA > 0.0
         for sB, mB in J.SB.items() if mB > 0.0
     ]
-    joint = math.fsum(w * entropy(red.ravel()) for w, red in pairs)
+    joint = math.fsum(w * entropy(red.ravel()) for w, red, _, _ in pairs)
     cond = []
     for direction in ("row|col", "col|row"):
         total = 0.0
-        for w, red in pairs:
-            r = red.T if direction == "col|row" else red
-            total += w * (entropy(r.ravel()) - entropy(r.sum(axis=0)))
+        for w, red, hrow, hcol in pairs:
+            total += w * (entropy(red.ravel()) - (hrow if direction == "col|row" else hcol))
         cond.append(total)
-    mutual = math.fsum(
-        w * (entropy(red.sum(axis=1)) + entropy(red.sum(axis=0)) - entropy(red.ravel())) for w, red in pairs
-    )
+    mutual = math.fsum(w * (hrow + hcol - entropy(red.ravel())) for w, red, hrow, hcol in pairs)
     return (joint, *cond, mutual)
 
 
@@ -308,31 +308,24 @@ class TestPairTable:
             assert four_notions(J) == per_pair_values(J)
 
     def test_each_pair_reduced_once(self, monkeypatch):
+        import structent.notions as notions
+
         rng = np.random.default_rng(92)
         J = joint_with_zeros(rng)
         while not (any(J.SA.measures) and any(J.SB.measures)):
             J = joint_with_zeros(rng)
         expected = per_pair_values(J)
         calls = []
-        bincount = np.bincount
-        monkeypatch.setattr(np, "bincount", lambda *a, **k: calls.append(1) or bincount(*a, **k))
+        onehot = notions._onehot
+        monkeypatch.setattr(notions, "_onehot", lambda labels: calls.append(1) or onehot(labels))
         monkeypatch.setattr(JointDistribution, "reduced", None)
         assert four_notions(J) == expected
         first = len(calls)
         assert four_notions(J) == expected
         assert len(calls) == first  # the second call reads the kept table
-        rows = sum(m > 0.0 for m in J.SA.measures)
-        assert first == rows + 1  # one stage-1 batch of column partitions, then one per row partition
-        assert len(J._pairs) == rows * sum(m > 0.0 for m in J.SB.measures)
-
-    def test_column_partitions_split_across_bincounts(self, monkeypatch):
-        import structent.notions as notions
-
-        rng = np.random.default_rng(93)
-        joints = [joint_with_zeros(rng) for _ in range(40)]
-        monkeypatch.setattr(notions, "_BATCH_CELLS", 1)  # one column partition per bincount
-        for J in joints:
-            assert four_notions(J) == per_pair_values(J)
+        rows, cols = (sum(m > 0.0 for m in S.measures) for S in (J.SA, J.SB))
+        assert first == rows + cols  # one one-hot matrix per positive partition on each side
+        assert len(J._pairs) == rows * cols
 
     @pytest.fixture(scope="class")
     def line_case(self):
@@ -341,12 +334,7 @@ class TestPairTable:
         notions = ("joint", "row|col", "col|row", "mutual")
         return J, [oracles.real_line_joint_ref(*pts, J.joint.matrix.tolist(), k) for k in notions]
 
-    @pytest.mark.parametrize("batch_cells", [None, 1])
-    def test_against_oracles(self, monkeypatch, line_case, batch_cells):
-        import structent.notions as notions
-
-        if batch_cells:
-            monkeypatch.setattr(notions, "_BATCH_CELLS", batch_cells)  # one column partition per bincount
+    def test_against_oracles(self, line_case):
         J, ref = line_case
         J = StructuredJoint(J.joint, J.SA, J.SB)  # a fresh table
         assert four_notions(J) == pytest.approx(ref, abs=1e-12)
@@ -362,9 +350,8 @@ class TestPairTable:
             assert four_notions(J) == pytest.approx(ref, abs=1e-12)
 
     def test_peak_memory(self):
-        # 44 025 028 bytes: the traced peak of the one-stage reduction this
-        # table replaced, which built a (column partitions x n x n) bin index
-        # for every row partition
+        # about four times the traced peak of the one-hot products (2.1 MB);
+        # the bincount table they replaced peaked at 28.3 MB
         J = line_joint(120, 5)
         tracemalloc.start()
         try:
@@ -372,7 +359,7 @@ class TestPairTable:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 44_025_028
+        assert peak <= 8_000_000
 
     def test_no_positive_partition_on_a_side(self):
         rng = np.random.default_rng(94)

@@ -22,6 +22,17 @@ def test_every_exported_name_resolves():
         assert not isinstance(getattr(structent, name), types.ModuleType), name
 
 
+def test_all_is_the_relatively_imported_names():
+    tree = ast.parse(pathlib.Path(structent.__file__).read_text())
+    imported = {
+        alias.asname or alias.name
+        for stmt in tree.body
+        if isinstance(stmt, ast.ImportFrom) and stmt.level and stmt.module
+        for alias in stmt.names
+    }
+    assert set(structent.__all__) == imported
+
+
 def test_no_unused_top_level_imports():
     """Every name a module imports at top level is referenced in it."""
     src = pathlib.Path(structent.__file__).parent

@@ -79,6 +79,21 @@ class TestSpaces:
             SequenceSpace("A", -1, ("x",), (1.0,))
 
 
+    def test_sums_within_prob_tol(self, abcd):
+        from structent.alphabet import PROB_TOL
+        from structent.sequences import SequenceSpace
+
+        off = 0.99 * PROB_TOL
+        P = Distribution(abcd, [0.25 + off / 4] * 4)
+        pairs, singles = Partition(abcd, [("a", "b"), ("c", "d")]), Partition(abcd, [[a] for a in "abcd"])
+        S = PartitionStructure(abcd, [(pairs, 0.5 + off / 2), (singles, 0.5 + off / 2)])
+        assert abs(math.fsum(P.probs) - 1.0) > 0.9 * PROB_TOL and S.is_normalized
+        sp = pair_space(P, S, 2)
+        assert math.fsum(sp.probs) - 1.0 > PROB_TOL  # the product of both sums
+        with pytest.raises(ValidationError):
+            SequenceSpace("S-pairs", 2, ("x", "y"), (0.5, 0.5 + 3 * PROB_TOL))
+
+
 class TestProjection:
     def test_drops_component_coordinate(self, uniform4, mixed_structure):
         sp = pair_space(uniform4, mixed_structure, 3)
