@@ -26,10 +26,13 @@ per-letter lengths are sums along root-to-leaf paths, in one preorder pass.
 branches whenever that lowers ``mu_u``.  Each node caches the restricted
 mass vector pm = p * 1[node] and the profile prof = D @ pm, sums of its
 children's, so a node's weighted cost is (m_L + m_R) * (pm_L @ prof_R) /
-(m_L * m_R); the up to 15 arrangements of up to four blocks are scored as
-scalars from the block cross weights pm_a @ prof_b, a zero-mass side with
-uniform weights, and only the winner is built.  The starting tree is costed
-from the distance table, so ``mu_u`` stays an independent check.
+(m_L * m_R).  The up to 15 arrangements of up to four blocks are lists of
+splits in preorder, a split being the (left, right) pair of block bit
+masks.  Each split is costed once as a scalar from the block cross weights
+pm_a @ prof_b (a zero-mass side with uniform weights), an arrangement
+scores the sum of its splits, and only the winner is built.  The starting
+tree is costed from the distance table, so ``mu_u`` stays an independent
+check.
 """
 
 from __future__ import annotations
@@ -300,63 +303,41 @@ def initial_code_tree(T: UltrametricTree, P: Distribution) -> CodeTree:
     return CodeTree(T.alphabet, T._fold(binarize))
 
 
-def _arrangements(blocks: list) -> Iterator[tuple]:
-    """Every full binary tree over ``blocks`` as nested pairs (up to mirror
-    symmetry, which leaves the cost unchanged): 3 shapes for three blocks,
-    15 for four."""
-    if len(blocks) == 1:
-        yield blocks[0]
-        return
-    first, rest = blocks[0], blocks[1:]
-    n = len(rest)
-    for k in range(n):
-        for combo in itertools.combinations(range(n), k):
-            left = [first] + [rest[i] for i in combo]
-            right = [rest[i] for i in range(n) if i not in combo]
-            for lt in _arrangements(left):
-                for rt in _arrangements(right):
-                    yield (lt, rt)
-
-
-def _mask(shape) -> int:
-    """Bit set of the block indices under a nested-pair shape."""
-    if isinstance(shape, tuple):
-        return _mask(shape[0]) | _mask(shape[1])
-    return 1 << shape
+def _arrangements(k: int) -> list[list[tuple[int, int]]]:
+    """Every full binary tree over ``k`` blocks (up to mirror symmetry, which
+    leaves the cost unchanged) as its splits in preorder: 3 shapes for three
+    blocks, 15 for four.  A split is one internal node, the pair (left
+    blocks, right blocks) of bit masks, with the lowest block on the left.
+    A block set's subsets have smaller masks, so they are arranged first."""
+    arranged: dict[int, list] = {}
+    for mask in range(1, 1 << k):
+        first, *rest = (b for b in range(k) if mask >> b & 1)
+        arranged[mask] = [] if rest else [[]]
+        for j in range(len(rest)):
+            for combo in itertools.combinations(rest, j):
+                x = sum(1 << b for b in (first, *combo))
+                y = mask ^ x
+                arranged[mask] += [[(x, y), *lt, *rt] for lt in arranged[x] for rt in arranged[y]]
+    return arranged[(1 << k) - 1]
 
 
 class _Shapes:
     """Arrangement tables for ``k`` blocks, in :func:`_arrangements` order.
 
-    A split is one internal node, the pair (left block set, right block set)
-    as bit masks; ``X``/``Y`` hold each split's sides as 0/1 rows over the
-    blocks, and ``uses[s]`` lists the splits of shape ``s``."""
+    ``splits`` lists every split once; ``X``/``Y`` hold each split's sides
+    as 0/1 rows over the blocks, and ``uses[s]`` lists the indices of shape
+    ``s``'s splits in preorder, so ``uses[s, 0]`` is its root split."""
 
     def __init__(self, k: int):
-        self.shapes = list(_arrangements(list(range(k))))
-        self.splits: dict[tuple[int, int], int] = {}
-        uses = []
-
-        def walk(sh) -> None:
-            if isinstance(sh, tuple):
-                split = (_mask(sh[0]), _mask(sh[1]))
-                used.append(self.splits.setdefault(split, len(self.splits)))
-                walk(sh[0])
-                walk(sh[1])
-
-        for sh in self.shapes:
-            used: list[int] = []
-            walk(sh)
-            uses.append(used)
-        # the unrearranged node: kl left blocks under one branch, the rest
-        # under the other
-        self.own = {}
-        for kl in (1, 2):
-            if 1 <= k - kl <= 2:
-                left = 0 if kl == 1 else (0, 1)
-                right = kl if k - kl == 1 else (kl, kl + 1)
-                self.own[kl] = self.shapes.index((left, right))
-        self.uses = np.array(uses, dtype=np.intp)
+        shapes = _arrangements(k)
+        self.splits = list(dict.fromkeys(split for sh in shapes for split in sh))
+        index = {split: i for i, split in enumerate(self.splits)}
+        self.uses = np.array([[index[split] for split in sh] for sh in shapes], dtype=np.intp)
+        # the unrearranged node: kl blocks on the left, the rest on the right
+        roots = [sh[0] for sh in shapes]
+        self.own = {
+            kl: roots.index(((1 << kl) - 1, (1 << k) - (1 << kl))) for kl in (1, 2) if 1 <= k - kl <= 2
+        }
         bits = np.array([1 << b for b in range(k)])
         self.X = np.array([(x & bits) > 0 for x, _ in self.splits], dtype=float)
         self.Y = np.array([(y & bits) > 0 for _, y in self.splits], dtype=float)
@@ -398,14 +379,16 @@ def _join(L: CodeNode, R: CodeNode, contrib: float) -> CodeNode:
     return nd
 
 
-def _build(shape, blocks: list[CodeNode], tab: _Shapes, cost: np.ndarray) -> CodeNode:
-    """The code tree of one arrangement, each node's weighted cost taken
-    from the split costs."""
-    if not isinstance(shape, tuple):
-        return blocks[shape]
-    L, R = (_build(sh, blocks, tab, cost) for sh in shape)
-    s = tab.splits[_mask(shape[0]), _mask(shape[1])]
-    return _join(L, R, float(cost[s]) + L._contrib + R._contrib)
+def _build(uses: np.ndarray, blocks: list[CodeNode], tab: _Shapes, cost: np.ndarray) -> CodeNode:
+    """The code tree of one arrangement, given by its split indices in
+    preorder.  In reverse preorder both sides of a split are built before
+    it; each node's weighted cost is taken from the split costs."""
+    built = {1 << b: nd for b, nd in enumerate(blocks)}
+    for s in reversed(uses.tolist()):
+        x, y = tab.splits[s]
+        L, R = built[x], built[y]
+        built[x | y] = _join(L, R, float(cost[s]) + L._contrib + R._contrib)
+    return built[x | y]
 
 
 def _optimize_node(
@@ -450,7 +433,7 @@ def _optimize_node(
                         "code optimization exceeded its restart budget; "
                         "this is not expected for any ultrametric input"
                     )
-                frame[:] = [_build(tab.shapes[best], blocks, tab, cost), None]
+                frame[:] = [_build(tab.uses[best], blocks, tab, cost), None]
                 continue
             if L is not nd.left or R is not nd.right:
                 # the root split of the unrearranged shape is (L, R)

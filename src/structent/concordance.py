@@ -37,6 +37,7 @@ from .errors import (
     ValidationError,
 )
 from .notions import StructuredAlphabet, entropy, h_s
+from .ultrametric import DistanceMatrix
 
 
 @dataclass(frozen=True)
@@ -196,10 +197,8 @@ def state_distance(a: Letter, b: Letter, S: PartitionStructure) -> float:
     return math.fsum(itertools.compress(S.measures, S.labels[:, i] != S.labels[:, j]))
 
 
-def state_distance_matrix(S: PartitionStructure) -> "DistanceMatrix":
+def state_distance_matrix(S: PartitionStructure) -> DistanceMatrix:
     """All pairwise state distances in alphabet order."""
-    from .ultrametric import DistanceMatrix
-
     n = len(S.alphabet)
     out = np.zeros((n, n))
     for lab, m in zip(S.labels, S.measures):

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .alphabet import Distribution, Partition, reduce
+from .alphabet import Alphabet, Distribution, Partition, reduce
 from .errors import AlphabetMismatch, ValidationError
 from .io import AMINO_ACIDS, GAP, Alignment
 from .notions import entropy
@@ -48,8 +48,6 @@ def synthetic_aa_tree(include_gap: bool = False) -> UltrametricTree:
     the gap symbol sits directly under the root, maximally distant from
     every amino acid.
     """
-    from .alphabet import Alphabet
-
     clusters = [
         node(SYNTHETIC_CLUSTER_HEIGHT, [leaf(a) for a in group])
         for group in _SYNTHETIC_GROUPS

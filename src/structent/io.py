@@ -17,6 +17,7 @@ import numpy as np
 
 from .alphabet import Alphabet, Distribution, Partition, PartitionStructure
 from .errors import ParseError, ValidationError
+from .notions import JointDistribution
 from .ultrametric import DistanceMatrix, TreeNode, UltrametricTree, leaf, node
 
 AMINO_ACIDS = "ACDEFGHIKLMNPQRSTVWY"
@@ -383,10 +384,8 @@ def structure_to_json(S: PartitionStructure) -> str:
     )
 
 
-def parse_joint_json(text: str):
+def parse_joint_json(text: str) -> JointDistribution:
     """Joint distribution JSON: row_alphabet, col_alphabet, matrix."""
-    from .notions import JointDistribution
-
     obj = _load_json(text, "joint JSON")
     for key in ("row_alphabet", "col_alphabet", "matrix"):
         if key not in obj:

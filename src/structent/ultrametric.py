@@ -347,28 +347,42 @@ def tree_to_distance(T: UltrametricTree) -> DistanceMatrix:
     return DistanceMatrix(T.alphabet, out)
 
 
-def _distinct_levels(values) -> tuple[list[float], list[int]]:
-    """Sorted distinct values, grouping anything closer than the tolerance
-    and taking each group's mean, with the level index of every value."""
+def _distinct_levels(values, tol: float) -> tuple[list[list[float]], list[int]]:
+    """The values grouped into levels, lowest first, each level's members
+    sorted, and the level index of every value.  In sorted order a value
+    ``v`` joins the current level if the level's smallest member is at least
+    ``v - tol``, so consecutive levels' smallest members pass the check of
+    :class:`UltrametricTree` that a child lies below ``parent - tol``."""
     order = np.argsort(values, kind="stable")
     sv = np.asarray(values, dtype=float)[order].tolist()
-    starts: list[int] = []  # a value joins the group of the smallest value within its tolerance
+    starts: list[int] = []
     for i in np.flatnonzero(np.diff(sv, prepend=-math.inf)).tolist():  # the first of each distinct value
-        if not (starts and sv[i] - sv[starts[-1]] <= HEIGHT_TOL * max(1.0, abs(sv[i]))):
+        if not (starts and sv[starts[-1]] >= sv[i] - tol):
             starts.append(i)
     counts = np.diff(starts, append=len(sv))
     level = np.repeat(np.arange(len(starts)), counts)[np.argsort(order)]
-    return [math.fsum(sv[a : a + c]) / c for a, c in zip(starts, counts.tolist())], level.tolist()
+    return [sv[a : a + c] for a, c in zip(starts, counts.tolist())], level.tolist()
+
+
+def _height_levels(T: UltrametricTree) -> tuple[list[float], list[int]]:
+    """The distinct heights of ``T`` as level means, grouped within the
+    tolerance its validator uses, and the level of every position."""
+    groups, lev = _distinct_levels(T._height, HEIGHT_TOL * max(1.0, T.height))
+    return [math.fsum(g) / len(g) for g in groups], lev
 
 
 def tree_from_distance(D: DistanceMatrix, P: Optional[Distribution] = None) -> UltrametricTree:
     """Build the unique ultrametric tree of a distance matrix.
 
-    Clusters are merged bottom-up at each distinct distance level; letters at
-    distance zero stay distinct leaves under a shared height-0 node.  At each
-    level the first free cluster takes every later free cluster close to it,
-    read from one block of the matrix.  The distribution argument is only
-    validated for alphabet agreement; trees do not store probabilities.
+    Clusters are merged bottom-up at each distinct distance level, the
+    distances grouped within the tolerance of the ultrametric witness; each
+    level's node height is its smallest member, so an internal node lies
+    more than that tolerance below its parent.  Letters at distance zero
+    stay distinct leaves under a shared height-0 node.  At each level the
+    first free cluster takes every later free cluster no farther from it
+    than the level's largest member, read from one block of the matrix.
+    The distribution argument is only validated for alphabet agreement;
+    trees do not store probabilities.
     """
     if P is not None and P.alphabet != D.alphabet:
         raise ValidationError("distribution and distance use different alphabets")
@@ -379,11 +393,11 @@ def tree_from_distance(D: DistanceMatrix, P: Optional[Distribution] = None) -> U
     if n == 1:
         return UltrametricTree(A, leaf(A.letters[0]))
     m = D.matrix
-    levels, _ = _distinct_levels(m[np.triu_indices(n, k=1)])
+    levels, _ = _distinct_levels(m[np.triu_indices(n, k=1)], HEIGHT_TOL * max(1.0, float(m.max())))
     clusters = np.fromiter((leaf(a) for a in A), dtype=object, count=n)
     reps = np.arange(n)  # matrix row representing each cluster
-    for d in levels:
-        close = m[np.ix_(reps, reps)] <= d + HEIGHT_TOL * max(1.0, d)
+    for level in levels:
+        close = m[np.ix_(reps, reps)] <= level[-1]
         np.fill_diagonal(close, False)
         free, kept = np.ones(len(reps), dtype=bool), np.ones(len(reps), dtype=bool)
         for i in np.flatnonzero(close.any(axis=1)).tolist():  # clusters with a close partner, in order
@@ -391,7 +405,7 @@ def tree_from_distance(D: DistanceMatrix, P: Optional[Distribution] = None) -> U
                 g = np.flatnonzero(close[i] & free)  # later ones only: every earlier one close to i is taken
                 free[i], free[g], kept[g] = False, False, False
                 if len(g):
-                    clusters[i] = node(d, [clusters[i], *clusters[g]])
+                    clusters[i] = node(level[0], [clusters[i], *clusters[g]])
         reps, clusters = reps[kept], clusters[kept]
         if len(clusters) == 1:
             break
@@ -403,7 +417,7 @@ def tree_from_distance(D: DistanceMatrix, P: Optional[Distribution] = None) -> U
 def band(T: UltrametricTree) -> UltrametricTree:
     """Insert pass-through nodes so every internal height is realized on
     every root-to-leaf path.  Idempotent; entropy is unchanged."""
-    levels, lev = _distinct_levels(T._height)
+    levels, lev = _height_levels(T)
 
     def wrap(i: int, kids: list[TreeNode]) -> TreeNode:
         nd = T._nodes[i]
@@ -482,7 +496,7 @@ def _bands_from(T: UltrametricTree) -> list[tuple[float, list[int]]]:
     from level k + 1 if the arc passes it, down to the node or to level k if
     the node lies lower: the arc of the banded tree's first floor node.
     """
-    levels, lev = _distinct_levels(T._height)
+    levels, lev = _height_levels(T)
     h, parent = T._height, T._parent
     floors: list[list[int]] = [[] for _ in levels]
     for i in range(1, len(h)):

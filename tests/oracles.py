@@ -117,9 +117,11 @@ def tree_from_distance_ref(D):
     """The tree of an ultrametric ``D`` by pairwise cluster comparison.
 
     The off-diagonal distances are key-sorted and grouped into levels as the
-    library groups them.  At each level the first unassigned cluster takes
-    every later unassigned cluster within the tolerance of it, comparing one
-    matrix entry per cluster pair."""
+    library groups them, within the witness's tolerance of each level's
+    smallest member, which is the level's height.  At each level the first
+    unassigned cluster takes every later unassigned cluster no farther from
+    it than the level's largest member, comparing one matrix entry per
+    cluster pair."""
     from structent.ultrametric import HEIGHT_TOL, UltrametricTree, leaf, node
 
     A, m = D.alphabet, D.matrix
@@ -127,26 +129,26 @@ def tree_from_distance_ref(D):
     if n == 1:
         return UltrametricTree(A, leaf(A.letters[0]))
     values = m[np.triu_indices(n, k=1)].tolist()
+    tol = HEIGHT_TOL * max(1.0, max(values))
     groups: list[list[float]] = []
     for v in sorted(values):
-        if groups and v - groups[-1][0] <= HEIGHT_TOL * max(1.0, abs(v)):
+        if groups and groups[-1][0] >= v - tol:
             groups[-1].append(v)
         else:
             groups.append([v])
     clusters, reps = [leaf(a) for a in A], list(range(n))
-    for d in (math.fsum(g) / len(g) for g in groups):
-        tol = HEIGHT_TOL * max(1.0, d)
+    for level in groups:
         merged, assigned = [], [False] * len(clusters)
         for i in range(len(clusters)):
             if assigned[i]:
                 continue
             g = [i]
             for j in range(i + 1, len(clusters)):
-                if not assigned[j] and m[reps[i], reps[j]] <= d + tol:
+                if not assigned[j] and m[reps[i], reps[j]] <= level[-1]:
                     g.append(j)
                     assigned[j] = True
             merged.append(g)
-        clusters = [clusters[g[0]] if len(g) == 1 else node(d, [clusters[i] for i in g]) for g in merged]
+        clusters = [clusters[g[0]] if len(g) == 1 else node(level[0], [clusters[i] for i in g]) for g in merged]
         reps = [reps[g[0]] for g in merged]
         if len(clusters) == 1:
             break

@@ -245,6 +245,31 @@ class TestDistance:
         assert len(out["witness"]) == 3
         assert "newick" not in out
 
+    def test_matrix_mode_builds_levels_tied_within_the_witness_tolerance(self, capsys, files):
+        # a-d lie at 1 within 1.4e-9, under the 2.5e-9 the witness allows at
+        # height 2.5: one level, whose node sits at its smallest distance
+        letters = "abcdefgh"
+        ties = {"ab": "0.9999999994", "cd": "1"}
+
+        def d(x, y):
+            if x == y:
+                return "0"
+            if (x < "e") != (y < "e"):
+                return "2.5"
+            return ties.get(x + y, ties.get(y + x, "1.0000000008")) if x < "e" else "0.5"
+
+        tied = files["tmp"] / "tied.csv"
+        tied.write_text("," + ",".join(letters) + "\n" + "".join(
+            x + "," + ",".join(d(x, y) for y in letters) + "\n" for x in letters
+        ))
+        code, out = run(capsys, ["distance", "--matrix", str(tied)])
+        assert code == 0
+        assert out["is_ultrametric"] is True
+        assert out["newick"] == (
+            "((a:0.4999999997,b:0.4999999997,c:0.4999999997,d:0.4999999997):0.7500000003,"
+            "(e:0.25,f:0.25,g:0.25,h:0.25):1);"
+        )
+
     def test_matrix_mode_finds_the_witness_once(self, capsys, files, monkeypatch):
         calls = []
         witness = DistanceMatrix._ultrametric_witness

@@ -40,6 +40,7 @@ from structent import (
     tree_to_distance,
     typical_compression_check,
 )
+from structent import coding
 from structent.sampling import (
     default_letters,
     random_code_shape,
@@ -298,6 +299,23 @@ class TestOptimize:
         D = tree_to_distance(two_cluster_tree)
         assert mu_u(C, uniform4, D) == pytest.approx(1.2, abs=1e-12)
         assert trace.final <= trace.initial + 1e-12
+
+    @pytest.mark.parametrize("k, count, own", [(3, 3, {1, 2}), (4, 15, {2})])
+    def test_arrangement_tables_in_brute_force_order(self, k, count, own):
+        tab = coding._SHAPES[k]
+
+        def nesting(uses) -> tuple:  # reverse preorder builds both sides of a split first
+            built = {}
+            for s in reversed(uses.tolist()):
+                x, y = tab.splits[s]
+                built[x | y] = tuple(built.get(z, z.bit_length() - 1) for z in (x, y))
+            return built[(1 << k) - 1]
+
+        assert [nesting(u) for u in tab.uses] == list(oracles.all_code_shapes(range(k)))
+        assert len(tab.uses) == count
+        assert set(tab.own) == own
+        for kl, s in tab.own.items():  # the first kl blocks on the left, the rest on the right
+            assert tab.splits[tab.uses[s, 0]] == ((1 << kl) - 1, (1 << k) - (1 << kl))
 
     def test_two_cluster_result_is_exhaustive_optimum(self, two_cluster_tree, uniform4):
         D = tree_to_distance(two_cluster_tree)

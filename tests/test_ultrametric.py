@@ -38,6 +38,7 @@ from structent import (
 from structent.io import parse_newick, tree_to_newick
 from structent.notions import StructuredAlphabet, h_s
 from structent.sampling import default_letters, random_distribution, random_ultrametric_tree
+from structent.ultrametric import HEIGHT_TOL
 
 ALL_FORMS = (hu_recursive, hu_nodewise, hu_arcwise, hu_bandwise)
 
@@ -210,14 +211,30 @@ class TestTreeFromDistanceOracle:
     @settings(max_examples=300, deadline=None)
     def test_same_newick_bytes(self, D):
         assume(D.is_ultrametric)
+        assert tree_to_newick(tree_from_distance(D)) == tree_to_newick(oracles.tree_from_distance_ref(D))
 
-        def outcome(build):
-            try:
-                return tree_to_newick(build(D))
-            except ValidationError as e:  # levels closer than the tree's height tolerance
-                return repr(e)
+    @given(near_ultrametric_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_builds_within_twice_the_witness_tolerance(self, D):
+        """Every matrix the witness accepts builds.  A level's entries lie
+        within the tolerance above its height; an entry whose letters join
+        through a third one at a lower level exceeds that level's entries by
+        up to the tolerance the witness allows, so not always by less."""
+        assume(D.is_ultrametric)
+        tol = HEIGHT_TOL * max(1.0, float(D.matrix.max()))
+        assert np.abs(tree_to_distance(tree_from_distance(D)).matrix - D.matrix).max() <= 2 * tol
 
-        assert outcome(tree_from_distance) == outcome(oracles.tree_from_distance_ref)
+    def test_entry_joined_through_a_third_letter(self):
+        # one level from a-d at 0.3 - 3e-10 up to 0.3, where a takes b, c and
+        # d; b-c at 0.3 + 8e-10 lies within 1e-9 of a-b and a-c but 1.1e-9
+        # above the level's height
+        m = np.full((4, 4), 0.3)
+        m[1, 2] = m[2, 1] = 0.3 + 8e-10
+        m[0, 3] = m[3, 0] = 0.3 - 3e-10
+        np.fill_diagonal(m, 0.0)
+        D = DistanceMatrix(default_letters(4), m)
+        assert D.is_ultrametric
+        assert tree_to_newick(tree_from_distance(D)) == "(a:0.14999999985,b:0.14999999985,c:0.14999999985,d:0.14999999985);"
 
     def test_random_trees(self):
         rng = np.random.default_rng(12)
