@@ -74,12 +74,17 @@ class DistanceMatrix:
         i, j = self.alphabet.index_of(a), self.alphabet.index_of(b)
         return float(self.matrix[i, j])
 
+    @property
+    def _tol(self) -> float:
+        """The tolerance of the ultrametric witness, which
+        :func:`tree_from_distance` also groups its levels within."""
+        return HEIGHT_TOL * max(1.0, float(self.matrix.max()))
+
     def _ultrametric_witness(self) -> Optional[tuple]:
         """A triple (a, b, c) violating the ultrametric inequality, or None."""
-        m = self.matrix
+        m, tol = self.matrix, self._tol
         # violation: D(a,b) > max(D(a,c), D(b,c)) + tol for some c; one a at a
         # time keeps the temporaries n x n
-        tol = HEIGHT_TOL * max(1.0, float(m.max() or 1.0))
         for a in range(len(m)):
             bad = np.argwhere(np.maximum(m[a], m) < (m[a] - tol)[:, None])  # violating (b, c)
             if len(bad):
@@ -255,7 +260,7 @@ class UltrametricTree:
             root, alphabet, attrgetter("children")
         )
         kids, self._height = self._kids, [nd.height for nd in self._nodes]
-        height, tol = self._height, HEIGHT_TOL * max(1.0, root.height)
+        height, tol = self._height, self._tol
         for nd, k in zip(self._nodes, kids):
             h = nd.height
             if not k:
@@ -293,6 +298,12 @@ class UltrametricTree:
     @property
     def height(self) -> float:
         return self.root.height
+
+    @property
+    def _tol(self) -> float:
+        """The tolerance of the height checks, which :func:`band` and the
+        bands also group heights within."""
+        return HEIGHT_TOL * max(1.0, self.root.height)
 
     @property
     def is_normalized(self) -> bool:
@@ -367,7 +378,7 @@ def _distinct_levels(values, tol: float) -> tuple[list[list[float]], list[int]]:
 def _height_levels(T: UltrametricTree) -> tuple[list[float], list[int]]:
     """The distinct heights of ``T`` as level means, grouped within the
     tolerance its validator uses, and the level of every position."""
-    groups, lev = _distinct_levels(T._height, HEIGHT_TOL * max(1.0, T.height))
+    groups, lev = _distinct_levels(T._height, T._tol)
     return [math.fsum(g) / len(g) for g in groups], lev
 
 
@@ -393,7 +404,7 @@ def tree_from_distance(D: DistanceMatrix, P: Optional[Distribution] = None) -> U
     if n == 1:
         return UltrametricTree(A, leaf(A.letters[0]))
     m = D.matrix
-    levels, _ = _distinct_levels(m[np.triu_indices(n, k=1)], HEIGHT_TOL * max(1.0, float(m.max())))
+    levels, _ = _distinct_levels(m[np.triu_indices(n, k=1)], D._tol)
     clusters = np.fromiter((leaf(a) for a in A), dtype=object, count=n)
     reps = np.arange(n)  # matrix row representing each cluster
     for level in levels:

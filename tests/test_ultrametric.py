@@ -38,7 +38,6 @@ from structent import (
 from structent.io import parse_newick, tree_to_newick
 from structent.notions import StructuredAlphabet, h_s
 from structent.sampling import default_letters, random_distribution, random_ultrametric_tree
-from structent.ultrametric import HEIGHT_TOL
 
 ALL_FORMS = (hu_recursive, hu_nodewise, hu_arcwise, hu_bandwise)
 
@@ -221,8 +220,7 @@ class TestTreeFromDistanceOracle:
         through a third one at a lower level exceeds that level's entries by
         up to the tolerance the witness allows, so not always by less."""
         assume(D.is_ultrametric)
-        tol = HEIGHT_TOL * max(1.0, float(D.matrix.max()))
-        assert np.abs(tree_to_distance(tree_from_distance(D)).matrix - D.matrix).max() <= 2 * tol
+        assert np.abs(tree_to_distance(tree_from_distance(D)).matrix - D.matrix).max() <= 2 * D._tol
 
     def test_entry_joined_through_a_third_letter(self):
         # one level from a-d at 0.3 - 3e-10 up to 0.3, where a takes b, c and
@@ -392,6 +390,25 @@ class TestBanding:
 
             for ph in path_heights(B.root, []):
                 assert set(levels) <= set(ph)
+
+    def test_groups_heights_within_the_tree_tolerance(self):
+        """Under a height-1000 root the tolerance is 1e-6, so cherries at 1
+        and 1 + 5e-7 on separate branches share one level at their mean:
+        band adds no pass-through node over either cherry, and the bands
+        take their widths from the first floor node's arc."""
+        cherries = [node(1.0, [leaf("a"), leaf("b")]), node(1.0 + 5e-7, [leaf("c"), leaf("d")])]
+        T = UltrametricTree(default_letters(5), node(1000.0, [*cherries, leaf("e")]))
+        B = band(T)
+        assert T._tol == pytest.approx(1e-6)
+        assert tree_to_newick(B) == (
+            "((a:0.5,b:0.5):499.5,(c:0.50000025,d:0.50000025):499.49999975,(e:0.500000125):499.499999875);"
+        )
+        assert [nd.height for nd, _ in B.nodes() if not nd.is_leaf] == [1000.0, 1.00000025, 1.0000005, 1.0]
+        T4 = UltrametricTree(default_letters(4), node(1000.0, cherries))
+        P = Distribution(T4.alphabet, [0.25] * 4)
+        assert hu_arcwise(T4, P) == 1001.0000002500001
+        assert hu_bandwise(T4, P) == 1001.0000004999999  # the cd cherry's band width, 1 + 5e-7
+        assert abs(hu_bandwise(T4, P) - hu_arcwise(T4, P)) <= T4._tol * math.log2(4)
 
     def test_entropy_invariant(self):
         rng = np.random.default_rng(16)
