@@ -396,7 +396,8 @@ def _cmd_conserve(args, f: float) -> dict:
     report = conservation_score(
         aln, T, gap_mode=args.gap_mode, coverage_threshold=args.coverage_threshold
     )
-    scores = [f * c.h_u for c in report.columns]
+    report = replace(report, columns=tuple(replace(c, h_u=f * c.h_u, h=f * c.h) for c in report.columns))
+    scores = [c.h_u for c in report.columns]
     out = {
         "n_rows": aln.n_rows,
         "n_cols": aln.n_cols,
@@ -409,19 +410,15 @@ def _cmd_conserve(args, f: float) -> dict:
             {
                 "column": c.index,
                 "coverage": c.coverage,
-                "h_u": f * c.h_u,
-                "h": f * c.h,
+                "h_u": c.h_u,
+                "h": c.h,
                 "flagged": c.flagged,
             }
             for c in report.columns
         ],
     }
     if args.out:
-        scaled = tuple(
-            replace(c, h_u=f * c.h_u, h=f * c.h, h_reduced=None if c.h_reduced is None else f * c.h_reduced)
-            for c in report.columns
-        )
-        _write(args.out, replace(report, columns=scaled).to_csv())
+        _write(args.out, report.to_csv())
         out["report_file"] = args.out
     return out
 

@@ -23,8 +23,10 @@ in the children's own order, a ``[lo, hi)`` range into one depth-first order
 of the leaves, so every subtree owns a contiguous run of letters, and here a
 height.  The tree algorithms read this view: masses run bottom-up over
 reversed positions, rebuilds fold children first on an explicit stack,
-``tree_to_distance`` fills whole cross-child blocks, and bands are cut from
-level indices, so no algorithm recurses and none builds the banded copy.
+``tree_to_distance`` fills whole cross-child blocks, and bands are cut at the
+exact distinct heights, so no algorithm recurses and none builds the banded
+copy.  Only :func:`band`, whose output is validated, applies the height
+tolerance, so the four forms agree to rounding even on near-tied heights.
 """
 
 from __future__ import annotations
@@ -301,8 +303,8 @@ class UltrametricTree:
 
     @property
     def _tol(self) -> float:
-        """The tolerance of the height checks, which :func:`band` and the
-        bands also group heights within."""
+        """The tolerance of the height checks, which :func:`band` also
+        keeps its pass-through nodes apart by."""
         return HEIGHT_TOL * max(1.0, self.root.height)
 
     @property
@@ -358,28 +360,31 @@ def tree_to_distance(T: UltrametricTree) -> DistanceMatrix:
     return DistanceMatrix(T.alphabet, out)
 
 
-def _distinct_levels(values, tol: float) -> tuple[list[list[float]], list[int]]:
+def _distinct_levels(values, tol: float) -> list[list[float]]:
     """The values grouped into levels, lowest first, each level's members
-    sorted, and the level index of every value.  In sorted order a value
-    ``v`` joins the current level if the level's smallest member is at least
-    ``v - tol``, so consecutive levels' smallest members pass the check of
-    :class:`UltrametricTree` that a child lies below ``parent - tol``."""
-    order = np.argsort(values, kind="stable")
-    sv = np.asarray(values, dtype=float)[order].tolist()
+    sorted.  In sorted order a value ``v`` joins the current level if the
+    level's smallest member is at least ``v - tol``, so consecutive levels'
+    smallest members pass the check of :class:`UltrametricTree` that a child
+    lies below ``parent - tol``."""
+    sv = np.sort(values).tolist()
     starts: list[int] = []
     for i in np.flatnonzero(np.diff(sv, prepend=-math.inf)).tolist():  # the first of each distinct value
         if not (starts and sv[starts[-1]] >= sv[i] - tol):
             starts.append(i)
-    counts = np.diff(starts, append=len(sv))
-    level = np.repeat(np.arange(len(starts)), counts)[np.argsort(order)]
-    return [sv[a : a + c] for a, c in zip(starts, counts.tolist())], level.tolist()
+    return [sv[a:b] for a, b in zip(starts, starts[1:] + [len(sv)])]
 
 
-def _height_levels(T: UltrametricTree) -> tuple[list[float], list[int]]:
-    """The distinct heights of ``T`` as level means, grouped within the
-    tolerance its validator uses, and the level of every position."""
-    groups, lev = _distinct_levels(T._height, T._tol)
-    return [math.fsum(g) / len(g) for g in groups], lev
+def _band_levels(T: UltrametricTree) -> tuple[list[float], list[int]]:
+    """The distinct band heights of ``T``, lowest first, and the level of
+    every position.  A leaf's band height is 0; an internal node takes its
+    own height, clamped below at 0 and above at its parent's band height,
+    so band heights never rise along a path."""
+    bh = [0.0] * len(T._kids)
+    for i, (p, k, h) in enumerate(zip(T._parent, T._kids, T._height)):  # parents come first in preorder
+        if k:
+            bh[i] = max(0.0, h) if p < 0 else min(max(0.0, h), bh[p])
+    levels, lev = np.unique(bh, return_inverse=True)
+    return levels.tolist(), lev.tolist()
 
 
 def tree_from_distance(D: DistanceMatrix, P: Optional[Distribution] = None) -> UltrametricTree:
@@ -404,7 +409,7 @@ def tree_from_distance(D: DistanceMatrix, P: Optional[Distribution] = None) -> U
     if n == 1:
         return UltrametricTree(A, leaf(A.letters[0]))
     m = D.matrix
-    levels, _ = _distinct_levels(m[np.triu_indices(n, k=1)], D._tol)
+    levels = _distinct_levels(m[np.triu_indices(n, k=1)], D._tol)
     clusters = np.fromiter((leaf(a) for a in A), dtype=object, count=n)
     reps = np.arange(n)  # matrix row representing each cluster
     for level in levels:
@@ -426,16 +431,23 @@ def tree_from_distance(D: DistanceMatrix, P: Optional[Distribution] = None) -> U
 
 
 def band(T: UltrametricTree) -> UltrametricTree:
-    """Insert pass-through nodes so every internal height is realized on
-    every root-to-leaf path.  Idempotent; entropy is unchanged."""
-    levels, lev = _height_levels(T)
+    """Insert pass-through nodes so every band height is realized on every
+    root-to-leaf path.  Idempotent; entropy is unchanged.  Only here does
+    the tolerance apply to bands: an arc gets a pass-through node at a level
+    only if it lies more than ``T._tol`` above the node (or pass-through)
+    below and more than ``T._tol`` below the parent, so the result validates."""
+    levels, lev = _band_levels(T)
+    tol = T._tol
 
     def wrap(i: int, kids: list[TreeNode]) -> TreeNode:
         nd = T._nodes[i]
         out = TreeNode(nd.letter, nd.height, kids, nd.passthrough)
         if i:
+            below, top = levels[lev[i]], levels[lev[T._parent[i]]] - tol
             for k in range(lev[i] + 1, lev[T._parent[i]]):  # ascending
-                out = TreeNode(height=levels[k], children=(out,), passthrough=True)
+                if below + tol < levels[k] < top:
+                    below = levels[k]
+                    out = TreeNode(height=below, children=(out,), passthrough=True)
         return out
 
     return UltrametricTree(T.alphabet, T._fold(wrap))
@@ -500,28 +512,18 @@ def _bands_from(T: UltrametricTree) -> list[tuple[float, list[int]]]:
     """Horizontal bands of a tree as (width, floor positions) pairs, lowest
     band first.
 
-    The tree is cut at each distinct height level.  The floor nodes of the
-    band above level k are the nodes at or below level k whose parent lies
-    above it, in preorder; their leaf sets partition the alphabet.  The
-    width is the drop along the first floor node's arc, from its parent or
-    from level k + 1 if the arc passes it, down to the node or to level k if
-    the node lies lower: the arc of the banded tree's first floor node.
+    The tree is cut at each exact band height, with no tolerance, so the
+    widths telescope along every arc.  The floor nodes of the band above
+    level k are the nodes at or below level k whose parent lies above it, in
+    preorder; their leaf sets partition the alphabet.  The width is the gap
+    from level k to level k + 1.
     """
-    levels, lev = _height_levels(T)
-    h, parent = T._height, T._parent
-    floors: list[list[int]] = [[] for _ in levels]
-    for i in range(1, len(h)):
-        for k in range(lev[i], lev[parent[i]]):
+    levels, lev = _band_levels(T)
+    floors: list[list[int]] = [[] for _ in levels[1:]]
+    for i, p in enumerate(T._parent[1:], 1):
+        for k in range(lev[i], lev[p]):
             floors[k].append(i)
-    bands = []
-    for k, floor in enumerate(floors):
-        if floor:
-            i = floor[0]
-            p = parent[i]
-            top = h[p] if lev[p] == k + 1 else levels[k + 1]
-            bottom = h[i] if lev[i] == k else levels[k]
-            bands.append((top - bottom, floor))
-    return bands
+    return [(levels[k + 1] - levels[k], floor) for k, floor in enumerate(floors)]
 
 
 def to_partition_structure(T: UltrametricTree) -> PartitionStructure:

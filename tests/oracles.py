@@ -62,36 +62,28 @@ def hu_grouping_recursion(letters, dist, probs) -> float:
     return total
 
 
-def banded_structure_ref(D, tol: float = 1e-9) -> list:
+def banded_structure_ref(D) -> list:
     """The banded structure of an ultrametric ``D`` as (blocks, width)
     pairs, lowest band first.
 
-    The distinct distances, with 0, form the levels; a value within
-    ``tol * max(1, v)`` of a level's smallest value joins that level.  The
-    band above a level has the classes of "distance <= the level's largest
-    value" as blocks, and the gap between the means of the two levels as
-    width.
+    The distinct distances, with 0, form the levels, with no tolerance.
+    The band above a level has the classes of "distance <= level" as
+    blocks, and the gap to the next level as width.
     """
     letters = D.alphabet.letters
     dist = dist_dict(D)
-    levels: list[list[float]] = []
-    for v in sorted({0.0, *dist.values()}):
-        if levels and v - levels[-1][0] <= tol * max(1.0, abs(v)):
-            levels[-1].append(v)
-        else:
-            levels.append([v])
+    levels = sorted({0.0, *dist.values()})
     out = []
     for level, above in zip(levels, levels[1:]):
         blocks: list[list] = []
         for a in letters:
             for b in blocks:
-                if dist[a, b[0]] <= level[-1]:
+                if dist[a, b[0]] <= level:
                     b.append(a)
                     break
             else:
                 blocks.append([a])
-        width = sum(above) / len(above) - sum(level) / len(level)
-        out.append((frozenset(map(frozenset, blocks)), width))
+        out.append((frozenset(map(frozenset, blocks)), above - level))
     return out
 
 

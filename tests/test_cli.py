@@ -138,6 +138,19 @@ class TestHu:
         measures = sorted(m for _, m in S.items())
         assert measures == pytest.approx([0.2, 0.8])
 
+    def test_node_above_its_near_zero_parent(self, capsys, tmp_path):
+        """The ab node sits 7e-10 above its parent of height 8e-10, which the
+        validator allows below the tolerance; the bands clamp it there."""
+        tree = "(((a:1.5e-9,b:1.5e-9):-7e-10,c:8e-10):0.9999999992,(d:0.25,e:0.25):0.75,f:1);"
+        (tmp_path / "t.nwk").write_text(tree + "\n")
+        P = structent.Distribution(structent.Alphabet(tuple("abcdef")), [1 / 6] * 6)
+        (tmp_path / "p.json").write_text(distribution_to_json(P))
+        target = tmp_path / "bands.json"
+        code, _ = run(capsys, ["hu", "--tree", str(tmp_path / "t.nwk"), "--lengths", "L", "--probs",
+                               str(tmp_path / "p.json"), "--forms", "--out-structure", str(target)])
+        assert code == 0
+        assert parse_structure_json(target.read_text()).is_normalized
+
     def test_byte_determinism(self, capsys, files):
         argv = ["hu", "--tree", str(files["tree"]), "--probs", str(files["skew"]), "--forms"]
         main(argv)

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from structent import (
+    Distribution,
     LinearAlphabet,
     distribution_to_json,
     linear_structure,
@@ -47,6 +48,8 @@ BASES = ("2", "e")
 CASES = {
     "hu": (["hu", "--tree", "{d}/tree.nwk", "--probs", "{d}/probs.json", "--forms",
             "--out-structure", "{d}/bands.json"], ["bands.json"]),
+    "hu_near_tied": (["hu", "--tree", "{d}/near_tied.nwk", "--lengths", "L", "--probs", "{d}/uniform4.json",
+                      "--forms", "--out-structure", "{d}/near_tied_bands.json"], ["near_tied_bands.json"]),
     "hs": (["hs", "--structure", "{d}/structure.json", "--probs", "{d}/probs.json"], []),
     "notions_joint": (["notions", "--joint", "{d}/joint.json", "--row-structure", "{d}/rows.json",
                        "--col-structure", "{d}/cols.json"], []),
@@ -112,6 +115,8 @@ def write_inputs(d: str) -> None:
                                        "matrix": random_joint_matrix(12, 12, rng).tolist()}))
     put("line_rows.json", structure_to_json(linear_structure(lines[0])))
     put("line_cols.json", structure_to_json(linear_structure(lines[1])))
+    put("near_tied.nwk", "((a:0.5,b:0.5):0.5,(c:0.5000000006,d:0.5000000006):0.4999999994);\n")
+    put("uniform4.json", distribution_to_json(Distribution(A4, [0.25] * 4)))
 
 
 def run_case(name: str, d: str) -> tuple[int, str, str, dict]:

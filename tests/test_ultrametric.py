@@ -41,6 +41,9 @@ from structent.sampling import default_letters, random_distribution, random_ultr
 
 ALL_FORMS = (hu_recursive, hu_nodewise, hu_arcwise, hu_bandwise)
 
+# a node 7e-10 above its parent of height 8e-10, which lies below the tolerance
+INVERTED_NEWICK = "(((a:1.5e-9,b:1.5e-9):-7e-10,c:8e-10):0.9999999992,(d:0.25,e:0.25):0.75,f:1);"
+
 
 def grid_tree(n: int, rng) -> UltrametricTree:
     """A random tree with two or three children per node and internal
@@ -392,23 +395,40 @@ class TestBanding:
                 assert set(levels) <= set(ph)
 
     def test_groups_heights_within_the_tree_tolerance(self):
-        """Under a height-1000 root the tolerance is 1e-6, so cherries at 1
-        and 1 + 5e-7 on separate branches share one level at their mean:
-        band adds no pass-through node over either cherry, and the bands
-        take their widths from the first floor node's arc."""
+        """Under a height-1000 root the tolerance is 1e-6, so band puts no
+        pass-through node at 1 + 5e-7 over the cherry at 1, and only one,
+        at 1, over the leaf e; the bands are cut at the exact heights."""
         cherries = [node(1.0, [leaf("a"), leaf("b")]), node(1.0 + 5e-7, [leaf("c"), leaf("d")])]
         T = UltrametricTree(default_letters(5), node(1000.0, [*cherries, leaf("e")]))
         B = band(T)
         assert T._tol == pytest.approx(1e-6)
-        assert tree_to_newick(B) == (
-            "((a:0.5,b:0.5):499.5,(c:0.50000025,d:0.50000025):499.49999975,(e:0.500000125):499.499999875);"
-        )
-        assert [nd.height for nd, _ in B.nodes() if not nd.is_leaf] == [1000.0, 1.00000025, 1.0000005, 1.0]
+        assert tree_to_newick(B) == "((a:0.5,b:0.5):499.5,(c:0.50000025,d:0.50000025):499.49999975,(e:0.5):499.5);"
+        assert [nd.height for nd, _ in B.nodes() if not nd.is_leaf] == [1000.0, 1.0, 1.0000005, 1.0]
         T4 = UltrametricTree(default_letters(4), node(1000.0, cherries))
         P = Distribution(T4.alphabet, [0.25] * 4)
         assert hu_arcwise(T4, P) == 1001.0000002500001
-        assert hu_bandwise(T4, P) == 1001.0000004999999  # the cd cherry's band width, 1 + 5e-7
-        assert abs(hu_bandwise(T4, P) - hu_arcwise(T4, P)) <= T4._tol * math.log2(4)
+        assert hu_bandwise(T4, P) == 1001.00000025
+        assert abs(hu_bandwise(T4, P) - hu_arcwise(T4, P)) <= 1e-12 * T4.height
+
+    @pytest.mark.parametrize("offsets", [(2.4e-9, 2.6e-9), (0.9e-9, 1.1e-9)])
+    def test_cherries_tied_within_the_tolerance(self, offsets):
+        """Cherries at 1, 1 + d1 and 1 + d2 under a height-2.5 root, whose
+        tolerance is 2.5e-9: the middle height lies within it of both others."""
+        cherries = [
+            node(1.0 + d, [leaf(a), leaf(b)]) for d, (a, b) in zip((0.0, *offsets), ("ab", "cd", "ef"))
+        ]
+        T = UltrametricTree(default_letters(6), node(2.5, cherries))
+        P = Distribution(T.alphabet, [1 / 6] * 6)
+        B = band(T)
+        assert isinstance(B, UltrametricTree)
+        assert abs(hu_arcwise(B, P) - hu_arcwise(T, P)) <= 1e-12
+        values = [form(T, P) for form in ALL_FORMS]
+        assert max(values) - min(values) <= 1e-12
+
+    def test_node_above_its_near_zero_parent(self):
+        T = parse_newick(INVERTED_NEWICK, lengths="L")
+        assert isinstance(band(T), UltrametricTree)
+        assert to_partition_structure(T).is_normalized
 
     def test_entropy_invariant(self):
         rng = np.random.default_rng(16)
@@ -418,6 +438,61 @@ class TestBanding:
             assert hu_arcwise(band(T), P) == pytest.approx(
                 hu_arcwise(T, P), abs=1e-9
             )
+
+
+@hst.composite
+def near_tied_cases(draw) -> tuple:
+    """A ``grid_tree``, at height 1 or rescaled to 1000, and a random
+    distribution with some probabilities set to 5e-324, then renormalized."""
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    n = draw(hst.integers(2, 30))
+    T = grid_tree(n, rng).rescaled(draw(hst.sampled_from([1.0, 1000.0])))
+    p = rng.dirichlet(np.ones(n))
+    p[draw(hst.lists(hst.booleans(), min_size=n, max_size=n))] = 5e-324
+    return T, Distribution(T.alphabet, (p / p.sum()).tolist())
+
+
+@hst.composite
+def inverted_arc_trees(draw) -> UltrametricTree:
+    """A ``grid_tree`` whose internal nodes of height 0 are lifted to
+    heights up to 1.5e-9, so a node may sit up to the tolerance above a
+    parent that lies below it."""
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    T = grid_tree(draw(hst.integers(3, 30)), rng)
+
+    def lift(nd, ph: float):
+        if nd.is_leaf:
+            return nd
+        h = nd.height
+        if h == 0.0:
+            h = draw(hst.sampled_from([0.0, 3e-10, 8e-10, 1.5e-9]))
+            if h > ph + 1e-9 or (ph > 1e-9 and h >= ph - 1e-9):  # the validator's rules at height 1
+                h = 0.0
+        return node(h, [lift(c, h) for c in nd.children])
+
+    return UltrametricTree(T.alphabet, lift(T.root, math.inf))
+
+
+class TestNearTiedCrossCheck:
+    """The four forms, banding and the banded structure on trees whose
+    heights tie within the tolerance."""
+
+    @given(near_tied_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_forms_band_and_structure_agree(self, case):
+        T, P = case
+        B = band(T)
+        values = [form(T, P) for form in ALL_FORMS] + [hu_arcwise(B, P)]
+        if T.height == 1.0:
+            values.append(h_s(StructuredAlphabet(P, to_partition_structure(T))))
+        assert max(values) - min(values) <= 1e-12 * max(1.0, T.height)
+        assert tree_equal(band(B), B)
+
+    @given(inverted_arc_trees(), hst.sampled_from([1.0, 1000.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_inverted_arcs_band(self, T, height):
+        band(T.rescaled(height))
+        to_partition_structure(T)
 
 
 class TestToPartitionStructure:
