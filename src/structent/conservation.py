@@ -6,9 +6,14 @@ scores conservation.  A fully conserved column scores 0; a 50/50 split
 inside a height-``h`` cluster scores ``h``; the same split across clusters
 of a normalized tree scores 1.  Classical entropy is reported alongside so
 the structure-blind and structure-aware views can be compared per column.
-A column's letter counts come from the alignment's uint8 code matrix, all
-columns in one numpy pass; each column's score is still one ``hu_arcwise``
-call on its own ``count / total`` distribution.
+A column's letter counts come from the alignment's uint8 code matrix,
+binned straight into tree-leaf order a few rows at a time.  The columns are
+then scored in blocks, with no per-column Python call: integer prefix sums
+of the counts give every node's count exactly, each node's mass is that
+count over the column total, and ``H_U`` is the row sum of the elementwise
+kernel ``-m log2 m`` times the arc lengths, the sum ``hu_arcwise`` takes
+per column.  Each row is summed on its own, so a column's scores do not
+depend on the other columns scored with it.
 """
 
 from __future__ import annotations
@@ -18,11 +23,11 @@ from typing import Optional
 
 import numpy as np
 
-from .alphabet import Alphabet, Distribution, Partition, reduce
+from .alphabet import Alphabet, Partition
 from .errors import AlphabetMismatch, ValidationError
 from .io import AMINO_ACIDS, GAP, Alignment
-from .notions import entropy
-from .ultrametric import UltrametricTree, hu_arcwise, leaf, node
+from .notions import _entropy_terms, _onehot
+from .ultrametric import UltrametricTree, leaf, node
 
 DEFAULT_COVERAGE_THRESHOLD = 0.5
 
@@ -118,30 +123,53 @@ def conservation_score(
     if not (0.0 <= coverage_threshold <= 1.0):
         raise ValidationError("coverage_threshold must lie in [0, 1]")
 
-    letters, gap = AMINO_ACIDS + GAP, len(AMINO_ACIDS)  # the codes of aln._codes
-    codes = aln._codes
-    counts = np.stack([(codes == k).sum(axis=0) for k in range(len(letters))], axis=1)
-    coverage = ((aln.n_rows - counts[:, gap]) / aln.n_rows).tolist()
+    letters = AMINO_ACIDS + GAP  # the codes of aln._codes
+    slot = {T.alphabet.letters[x]: i for i, x in enumerate(T._order, start=1)}  # tree-leaf order
+    n = len(slot)
     if gap_mode == "skip":
-        counts[:, gap] = 0
-    missing = [k for k, a in enumerate(letters) if a not in T.alphabet]
-    bad = np.flatnonzero(counts[:, missing].any(axis=1))
+        slot.pop(GAP, None)
+    # each code's slot: its leaf, n + 1 for a skipped gap, n + 2 for a letter
+    # the tree lacks; slot 0 stays 0, so the prefix sums below start at 0
+    lut = np.array([slot.get(a, n + 1 if a == GAP else n + 2) for a in letters], dtype=np.intp)
+    codes, width = aln._codes, n + 3
+    counts = np.zeros(aln.n_cols * width, dtype=np.intp)
+    cell = np.arange(aln.n_cols) * width  # column j counts slot k at cell[j] + k
+    for r in range(0, aln.n_rows, 16):  # 16 rows at a time bound the bin index
+        counts += np.bincount((lut[codes[r:r + 16]] + cell).ravel(), minlength=counts.size)
+    counts = counts.reshape(aln.n_cols, width)
+    coverage = ((aln.n_rows - counts[:, slot.get(GAP, n + 1)]) / aln.n_rows).tolist()
+    bad = np.flatnonzero(counts[:, n + 2])
     if bad.size:  # the first such column, and its first such letter in row order
         j = int(bad[0])
-        a = next(letters[k] for k in codes[:, j].tolist() if k in missing and counts[j, k])
+        a = next(letters[k] for k in codes[:, j].tolist() if lut[k] == n + 2)
         raise AlphabetMismatch(f"column {j + 1}: letter {a!r} is not a leaf of the tree")
-    index = {a: k for k, a in enumerate(letters)}
-    leaves = [index.get(a, len(letters)) for a in T.alphabet]  # a code past the end counts 0
-    empty = None if reduce_partition is None else 0.0
-    scores = []
-    for j, row in enumerate(counts.tolist(), start=1):
-        total = sum(row)
-        if not total:  # all gaps, skipped
-            scores.append(ColumnScore(j, 0.0, 0.0, 0.0, empty, True))
-            continue
-        row.append(0)
-        P = Distribution(T.alphabet, [row[k] / total for k in leaves])
-        h_red = None if reduce_partition is None else entropy(reduce(P, reduce_partition).probs)
-        c = coverage[j - 1]
-        scores.append(ColumnScore(j, c, hu_arcwise(T, P), entropy(P.probs), h_red, c < coverage_threshold))
+    C = counts[:, 1:n + 1]
+    total = C.sum(axis=1)
+    if reduce_partition is not None and reduce_partition.alphabet != T.alphabet and total.any():
+        raise AlphabetMismatch("operands are defined over different alphabets")
+    empty = total == 0  # all gaps, skipped: every score is 0
+    denom = np.where(empty, 1, total)[:, None]
+    lo, hi, parent = (np.array(x[1:], dtype=np.intp) for x in (T._lo, T._hi, T._parent))
+    height = np.array(T._height)
+    arcs = height[parent] - height[1:]  # a negative arc counts, as in hu_arcwise
+    leaves = [i for i, k in enumerate(T._kids[1:]) if not k]
+    # every matrix summed is row-major (``take``, not ``[:, index]``), so
+    # each row sums on its own, whatever the columns scored with it; 256
+    # columns at a time keep the matrices small
+    h_u, h = np.empty(len(C)), np.empty(len(C))
+    for j in range(0, len(C), 256):
+        block = slice(j, j + 256)
+        S = np.cumsum(counts[block, :n + 1], axis=1)  # S[:, k] counts the first k leaves
+        # a node's count is S[:, hi] - S[:, lo], exact, and its mass that over the total
+        terms = _entropy_terms((S.take(hi, axis=1) - S.take(lo, axis=1)) / denom[block])
+        h[block] = terms.take(leaves, axis=1).sum(axis=1) + 0.0
+        terms *= arcs
+        h_u[block] = terms.sum(axis=1) + 0.0
+    if reduce_partition is None:
+        h_red = [None] * len(total)
+    else:
+        groups = C @ _onehot(reduce_partition.labels[T._order])
+        h_red = (_entropy_terms(groups / denom).sum(axis=1) + 0.0).tolist()
+    flagged = [e or c < coverage_threshold for c, e in zip(coverage, empty.tolist())]
+    scores = map(ColumnScore, range(1, len(coverage) + 1), coverage, h_u.tolist(), h.tolist(), h_red, flagged)
     return ConservationReport(gap_mode, coverage_threshold, tuple(scores))

@@ -7,9 +7,11 @@ traditional structure (singletons, measure 1) each notion collapses exactly
 to its classical counterpart.
 
 The joint notions read one pair table per :class:`StructuredJoint`.  A
-reduced joint is the product onehot(sA).T @ (P @ onehot(sB)); the table
-keeps each pair's joint entropy next to the entropies of the two reduced
-marginals, each taken once per partition.
+reduced joint is the product onehot(sA).T @ (P @ onehot(sB)); one product
+per row partition gives its blocks with every column partition, and one
+pass of the elementwise kernel ``-m log2 m`` gives all their entropies.
+The table keeps each pair's joint entropy next to the entropies of the two
+reduced marginals, each taken once per partition.
 
 All logarithms are base 2; values are in bits.  The conventions
 0 * log(0) = 0 and 0 * log(0/0) = 0 apply throughout.
@@ -44,6 +46,16 @@ def entropy(probs: Iterable[float]) -> float:
     if isinstance(probs, np.ndarray):
         probs = probs.tolist()  # the same values; Python floats loop faster
     return -math.fsum(p * math.log2(p) for p in probs if p > 0.0) + 0.0
+
+
+def _entropy_terms(m: np.ndarray) -> np.ndarray:
+    """-m * log2 m elementwise, 0 where m <= 0: the terms of :func:`entropy`
+    for every cell of an array at once.  Summing a row and adding ``0.0``
+    gives that row's entropy, never ``-0``."""
+    terms = np.zeros_like(m)
+    np.log2(m, out=terms, where=m > 0.0)
+    terms *= m
+    return np.negative(terms, out=terms)
 
 
 def binary_entropy(p: float) -> float:
@@ -152,17 +164,27 @@ class StructuredJoint:
         """(mA * mB, H(reduced joint), H(reduced row marginal), H(reduced
         column marginal)) for every pair of positive-measure partitions, row
         partitions outermost.  Each pair's block is the product of
-        :meth:`JointDistribution.reduced`, with ``matrix @ onehot(sB)`` taken
-        once per column partition; each marginal's entropy is taken once per
-        partition."""
+        :meth:`JointDistribution.reduced`: ``matrix @ onehot(sB)`` is taken
+        once per column partition and stacked side by side, so one product
+        per row partition gives its blocks with every column partition, and
+        one :func:`_entropy_terms` pass, summed per block, their entropies.
+        Each marginal's entropy is taken once per partition."""
         J = self.joint
         PA, PB = J.row_marginal(), J.col_marginal()
-        cols = [(J.matrix @ _onehot(sB.labels), mB, entropy(reduced_probs(PB, sB))) for sB, mB in self.SB.items() if mB > 0.0]
+        cols = [(sB, mB) for sB, mB in self.SB.items() if mB > 0.0]
+        if not cols:
+            return []
+        blocks = [J.matrix @ _onehot(sB.labels) for sB, _ in cols]
+        starts = np.cumsum([0] + [b.shape[1] for b in blocks[:-1]])
+        MB = np.hstack(blocks)
+        hB = [(mB, entropy(reduced_probs(PB, sB))) for sB, mB in cols]
         pairs = []
         for sA, mA in self.SA.items():
             if mA > 0.0:
-                OA, hA = _onehot(sA.labels).T, entropy(reduced_probs(PA, sA))
-                pairs += [(mA * mB, entropy((OA @ MB).ravel()), hA, hB) for MB, mB, hB in cols]
+                terms = _entropy_terms(_onehot(sA.labels).T @ MB).sum(axis=0)
+                hj = (np.add.reduceat(terms, starts) + 0.0).tolist()
+                hA = entropy(reduced_probs(PA, sA))
+                pairs += [(mA * mB, h, hA, hb) for h, (mB, hb) in zip(hj, hB)]
         return pairs
 
 

@@ -728,3 +728,35 @@ def conservation_score_ref(aln, T, gap_mode, threshold, reduce_partition=None):
         _score_column_ref(aln.column(j), T, gap_mode, threshold, j + 1, reduce_partition)
         for j in range(aln.n_cols)
     )
+
+
+def conservation_decimal(column, T, gap_mode, digits: int = 60):
+    """(H_U, H) of one alignment column, given as a string, by their
+    defining formulas in ``digits``-digit decimal arithmetic: each node's
+    mass is its leaves' count over the column total, and ``H_U`` sums
+    -w log2 w times the arc above every node of mass strictly between 0
+    and 1.  Returns the two exact values as ``decimal.Decimal``; an all-gap
+    column in skip mode scores 0."""
+    observed = [ch for ch in column if gap_mode != "skip" or ch != "-"]
+    counts: dict = {}
+    for ch in observed:
+        counts[ch] = counts.get(ch, 0) + 1
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        zero, total, ln2 = decimal.Decimal(0), decimal.Decimal(len(observed)), decimal.Decimal(2).ln()
+
+        def term(n) -> decimal.Decimal:
+            q = decimal.Decimal(n) / total
+            return -q * q.ln() / ln2
+
+        h_u = zero
+
+        def walk(nd, above) -> int:
+            nonlocal h_u
+            n = counts.get(nd.letter, 0) if nd.is_leaf else sum(walk(c, nd.height) for c in nd.children)
+            if above is not None and 0 < n < len(observed):
+                h_u += (decimal.Decimal(above) - decimal.Decimal(nd.height)) * term(n)
+            return n
+
+        walk(T.root, None)
+        return +h_u, +sum((term(n) for n in counts.values()), zero)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import decimal
 import math
 import tracemalloc
 
@@ -181,6 +182,15 @@ class TestReducedView:
         assert col.h_reduced == pytest.approx(1.0, abs=1e-12)
         assert col.h == pytest.approx(1.5, abs=1e-12)
 
+    def test_partition_over_another_alphabet(self):
+        T = synthetic_aa_tree()
+        other = Partition(synthetic_aa_tree(include_gap=True).alphabet, [("A", "-"), AMINO_ACIDS[1:]])
+        with pytest.raises(AlphabetMismatch):
+            conservation_score(Alignment(("r1", "r2"), ("-A", "-V")), T, reduce_partition=other)
+        # an alignment of gaps only has no column to reduce
+        report = conservation_score(Alignment(("r1", "r2"), ("--", "--")), T, reduce_partition=other)
+        assert [c.h_reduced for c in report.columns] == [0.0, 0.0]
+
     def test_reduced_column_in_csv(self):
         T = synthetic_aa_tree()
         groups = Partition(T.alphabet, [("A", "V"), tuple(
@@ -204,6 +214,14 @@ class TestReport:
         assert [r[0] for r in rows] == ["1", "2", "3"]
         assert [float(r[2]) for r in rows] == pytest.approx([0.0, 0.25, 0.0], abs=1e-9)
         assert all(r[4] == "0" for r in rows)
+
+    def test_conserved_column_prints_zero(self):
+        # every score of a fully conserved or all-gap column is +0.0, never -0
+        aln = Alignment(("r1", "r2"), ("A-", "A-"))
+        for gap_mode in ("skip", "extra-letter"):
+            T = synthetic_aa_tree(include_gap=gap_mode == "extra-letter")
+            lines = conservation_score(aln, T, gap_mode=gap_mode).to_csv().splitlines()
+            assert lines[1:] == ["1,1,0,0,0", "2,0,0,0,1"]
 
     def test_wide_alignment_matches_columnwise_scoring(self):
         letters = ["A", "V", "F", "S", "K", "D", "C", "W"]
@@ -243,6 +261,19 @@ class TestReport:
                 single = Alignment(aln.names, tuple(s[j] for s in seqs))
                 row = conservation_score(single, T, **kw).to_csv().splitlines()[1]
                 assert wide[j + 1] == f"{j + 1}," + row.split(",", 1)[1]
+
+
+def test_column_scores_do_not_depend_on_the_batch():
+    # each row of the batched arrays is summed on its own, so a column
+    # scored among 300 gets the very floats it gets alone
+    rng = np.random.default_rng(23)
+    cols = random_columns(400, 300, rng)
+    for gap_mode in ("skip", "extra-letter"):
+        T = synthetic_aa_tree(include_gap=gap_mode == "extra-letter")
+        wide = conservation_score(alignment_of(cols), T, gap_mode=gap_mode).columns
+        for j, col in enumerate(cols):
+            alone = conservation_score(alignment_of([col]), T, gap_mode=gap_mode).columns[0]
+            assert (wide[j].h_u, wide[j].h) == (alone.h_u, alone.h), j
 
 
 @hst.composite
@@ -288,8 +319,9 @@ class TestAgainstReference:
     @given(scoring_cases())
     @settings(max_examples=200, deadline=None)
     def test_equals_column_loop(self, case):
-        # counts from the code matrix give the same scores, and the same
-        # error for the first column holding a letter the tree lacks
+        # counts from the code matrix give the same columns, and the same
+        # error for the first column holding a letter the tree lacks; the
+        # batched scores agree with the column loop's to 1e-12
         def outcome(score):
             try:
                 return score(*case)
@@ -297,7 +329,16 @@ class TestAgainstReference:
                 return f"AlphabetMismatch: {e}"
 
         got = outcome(lambda *a: conservation_score(*a).columns)
-        assert got == outcome(oracles.conservation_score_ref)
+        ref = outcome(oracles.conservation_score_ref)
+        if isinstance(ref, str) or isinstance(got, str):
+            assert got == ref
+            return
+        exact = [(c.index, c.coverage, c.flagged, c.h_reduced is None) for c in ref]
+        assert [(c.index, c.coverage, c.flagged, c.h_reduced is None) for c in got] == exact
+        for g, r in zip(got, ref):
+            for a, b in ((g.h_u, r.h_u), (g.h, r.h), (g.h_reduced, r.h_reduced)):
+                if b is not None:
+                    assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), (g, r)
 
     def test_first_missing_letter_in_row_order(self):
         T = parse_newick("((A:0.25,C:0.25):0.75,D:1);", lengths="L")
@@ -306,9 +347,83 @@ class TestAgainstReference:
             conservation_score(aln, T)
 
 
+def column_of(spec: str) -> str:
+    """A column from letter counts written as ``A18 C16 ...``."""
+    return "".join(t[0] * int(t[1:]) for t in spec.split())
+
+
+def random_columns(n_rows, n_cols, rng) -> list[str]:
+    """Columns of one letter, of one synthetic group, across groups or
+    mostly gaps, with a few gaps in each."""
+    groups = ["".join(lf.letter for lf in g.children) for g in synthetic_aa_tree().root.children]
+    out = []
+    for kind in rng.integers(0, 4, size=n_cols):
+        pool = (rng.choice(list(AMINO_ACIDS)), rng.choice(groups), AMINO_ACIDS, AMINO_ACIDS + GAP * 60)[kind]
+        col = rng.choice(list(pool), n_rows)
+        col[rng.random(n_rows) < 0.02] = GAP
+        out.append("".join(col))
+    return out
+
+
+def alignment_of(cols: list[str]) -> Alignment:
+    return Alignment(tuple(f"r{i}" for i in range(len(cols[0]))), tuple("".join(r) for r in zip(*cols)))
+
+
+class TestAgainstDecimal:
+    # a column whose 12-digit H_U the column loop rounds the wrong way: the
+    # exact value is 2.965143499355000737..., the loop prints 2.96514349935
+    CASE = "A18 C16 D26 E28 F15 G15 H26 I23 K22 L20 M15 N19 P17 Q18 R18 S23 T30 V19 W20 Y12"
+
+    def test_printed_digits_no_farther_than_column_loop(self):
+        # the batched scores print 12 digits at least as close to the exact
+        # values as the per-column loop's, and round the case above right
+        rng = np.random.default_rng(17)
+        cols = [column_of(self.CASE)] + random_columns(400, 150, rng)
+        aln = alignment_of(cols)
+        for gap_mode in ("skip", "extra-letter"):
+            T = synthetic_aa_tree(include_gap=gap_mode == "extra-letter")
+            got = conservation_score(aln, T, gap_mode=gap_mode).columns
+            ref = oracles.conservation_score_ref(aln, T, gap_mode, 0.5)
+            for j, (g, r) in enumerate(zip(got, ref)):
+                exact = oracles.conservation_decimal(cols[j], T, gap_mode)
+                for a, b, x in zip((g.h_u, g.h), (r.h_u, r.h), exact):
+                    assert abs(decimal.Decimal(f"{a:.12g}") - x) <= abs(decimal.Decimal(f"{b:.12g}") - x), (j, a, b, x)
+            assert f"{got[0].h_u:.12g}" == "2.96514349936"
+
+
+def test_no_per_column_calls(monkeypatch):
+    # scoring builds no Distribution and calls neither hu_arcwise nor
+    # entropy per column: every column is scored in the same array passes
+    import structent.alphabet as alphabet
+    import structent.conservation as conservation
+    import structent.notions as notions
+    import structent.ultrametric as ultrametric
+
+    calls = []
+
+    def counted(name, f):
+        return lambda *a, **kw: calls.append(name) or f(*a, **kw)
+
+    init = alphabet.Distribution.__init__
+    monkeypatch.setattr(alphabet.Distribution, "__init__", counted("Distribution", init))
+    for mod, name in ((ultrametric, "hu_arcwise"), (notions, "entropy")):
+        f = getattr(mod, name)
+        monkeypatch.setattr(mod, name, counted(name, f))
+        monkeypatch.setattr(conservation, name, counted(name, f), raising=False)
+    rows, cols = 40, 3000
+    rng = np.random.default_rng(12)
+    cells = np.array(list(LETTERS))[rng.integers(0, len(LETTERS), (rows, cols))]
+    aln = Alignment(tuple(f"r{i}" for i in range(rows)), tuple("".join(r) for r in cells))
+    T = synthetic_aa_tree()
+    part = Partition(T.alphabet, [("A", "V", "F", "S"), tuple(a for a in T.alphabet.letters if a not in "AVFS")])
+    report = conservation_score(aln, T, reduce_partition=part)
+    assert len(report.columns) == cols
+    assert calls == []
+
+
 def test_traced_memory_per_cell():
     # parsing and scoring a 400 x 3000 alignment allocate a few bytes per
-    # cell: the rows, their uint8 codes and one boolean mask per letter at a time
+    # cell: the rows, their uint8 codes and the bin index of 16 rows at a time
     rows, cols = 400, 3000
     rng = np.random.default_rng(11)
     cells = np.frombuffer(LETTERS.encode(), dtype=np.uint8)[rng.integers(0, len(LETTERS), (rows, cols))]
