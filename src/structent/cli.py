@@ -22,7 +22,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -53,6 +52,8 @@ from .coding import (
 )
 from .conservation import (
     DEFAULT_COVERAGE_THRESHOLD,
+    ColumnScore,
+    ConservationReport,
     conservation_score,
     synthetic_aa_tree,
 )
@@ -396,7 +397,9 @@ def _cmd_conserve(args, f: float) -> dict:
     report = conservation_score(
         aln, T, gap_mode=args.gap_mode, coverage_threshold=args.coverage_threshold
     )
-    report = replace(report, columns=tuple(replace(c, h_u=f * c.h_u, h=f * c.h) for c in report.columns))
+    if f != 1.0:  # in base 2 the bits are printed as they are
+        scaled = (ColumnScore(c.index, c.coverage, f * c.h_u, f * c.h, c.h_reduced, c.flagged) for c in report.columns)
+        report = ConservationReport(report.gap_mode, report.coverage_threshold, tuple(scaled))
     scores = [c.h_u for c in report.columns]
     out = {
         "n_rows": aln.n_rows,

@@ -6,14 +6,14 @@ scores conservation.  A fully conserved column scores 0; a 50/50 split
 inside a height-``h`` cluster scores ``h``; the same split across clusters
 of a normalized tree scores 1.  Classical entropy is reported alongside so
 the structure-blind and structure-aware views can be compared per column.
-A column's letter counts come from the alignment's uint8 code matrix,
-binned straight into tree-leaf order a few rows at a time.  The columns are
-then scored in blocks, with no per-column Python call: integer prefix sums
-of the counts give every node's count exactly, each node's mass is that
-count over the column total, and ``H_U`` is the row sum of the elementwise
-kernel ``-m log2 m`` times the arc lengths, the sum ``hu_arcwise`` takes
-per column.  Each row is summed on its own, so a column's scores do not
-depend on the other columns scored with it.
+The alignment's uint8 codes are binned as they are, a few rows at a time,
+into a columns x codes count matrix that one gather puts into tree-leaf
+order.  The columns are then scored in blocks, with no per-column Python
+call: integer prefix sums of the counts give every node's count exactly,
+each node's mass is that count over the column total, and ``H_U`` is the
+row sum of the elementwise kernel ``-m log2 m`` times the arc lengths, the
+sum ``hu_arcwise`` takes per column.  Each row is summed on its own, so a
+column's scores do not depend on the other columns scored with it.
 """
 
 from __future__ import annotations
@@ -124,26 +124,26 @@ def conservation_score(
         raise ValidationError("coverage_threshold must lie in [0, 1]")
 
     letters = AMINO_ACIDS + GAP  # the codes of aln._codes
-    slot = {T.alphabet.letters[x]: i for i, x in enumerate(T._order, start=1)}  # tree-leaf order
-    n = len(slot)
+    # code k is counted in column k + 1 of the raw counts; column 0 stays 0
+    raw = {a: k for k, a in enumerate(letters, start=1)}
     if gap_mode == "skip":
-        slot.pop(GAP, None)
-    # each code's slot: its leaf, n + 1 for a skipped gap, n + 2 for a letter
-    # the tree lacks; slot 0 stays 0, so the prefix sums below start at 0
-    lut = np.array([slot.get(a, n + 1 if a == GAP else n + 2) for a in letters], dtype=np.intp)
-    codes, width = aln._codes, n + 3
+        raw.pop(GAP)  # a skipped gap only lowers the coverage
+    missing = [k for a, k in raw.items() if a not in T.alphabet]
+    lut = [0] + [raw.get(T.alphabet.letters[x], 0) for x in T._order]  # tree-leaf order
+    codes, width = aln._codes, len(letters) + 1
     counts = np.zeros(aln.n_cols * width, dtype=np.intp)
-    cell = np.arange(aln.n_cols) * width  # column j counts slot k at cell[j] + k
+    cell = np.arange(1, counts.size, width)  # column j counts code k at cell[j] + k
     for r in range(0, aln.n_rows, 16):  # 16 rows at a time bound the bin index
-        counts += np.bincount((lut[codes[r:r + 16]] + cell).ravel(), minlength=counts.size)
+        counts += np.bincount((codes[r:r + 16] + cell).ravel(), minlength=counts.size)
     counts = counts.reshape(aln.n_cols, width)
-    coverage = ((aln.n_rows - counts[:, slot.get(GAP, n + 1)]) / aln.n_rows).tolist()
-    bad = np.flatnonzero(counts[:, n + 2])
+    coverage = ((aln.n_rows - counts[:, width - 1]) / aln.n_rows).tolist()
+    bad = np.flatnonzero(counts.take(missing, axis=1).any(axis=1))
     if bad.size:  # the first such column, and its first such letter in row order
         j = int(bad[0])
-        a = next(letters[k] for k in codes[:, j].tolist() if lut[k] == n + 2)
+        a = next(letters[k] for k in codes[:, j].tolist() if k + 1 in missing)
         raise AlphabetMismatch(f"column {j + 1}: letter {a!r} is not a leaf of the tree")
-    C = counts[:, 1:n + 1]
+    counts = counts.take(lut, axis=1)  # column i counts leaf i - 1 in tree order
+    C = counts[:, 1:]
     total = C.sum(axis=1)
     if reduce_partition is not None and reduce_partition.alphabet != T.alphabet and total.any():
         raise AlphabetMismatch("operands are defined over different alphabets")
@@ -159,7 +159,7 @@ def conservation_score(
     h_u, h = np.empty(len(C)), np.empty(len(C))
     for j in range(0, len(C), 256):
         block = slice(j, j + 256)
-        S = np.cumsum(counts[block, :n + 1], axis=1)  # S[:, k] counts the first k leaves
+        S = np.cumsum(counts[block], axis=1)  # S[:, k] counts the first k leaves
         # a node's count is S[:, hi] - S[:, lo], exact, and its mass that over the total
         terms = _entropy_terms((S.take(hi, axis=1) - S.take(lo, axis=1)) / denom[block])
         h[block] = terms.take(leaves, axis=1).sum(axis=1) + 0.0

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import string
 from dataclasses import dataclass
 from typing import Optional
 
@@ -24,6 +25,7 @@ AMINO_ACIDS = "ACDEFGHIKLMNPQRSTVWY"
 GAP = "-"
 # byte -> code of AMINO_ACIDS + GAP (0-20), 255 for every other byte
 _CODE_TABLE = bytes((AMINO_ACIDS + GAP).find(chr(b)) % 256 for b in range(256))
+_RESIDUE_CASE = str.maketrans(string.ascii_lowercase + ".", string.ascii_uppercase + GAP)
 
 
 @dataclass(frozen=True)
@@ -68,37 +70,35 @@ class Alignment:
 
 
 def _clean_residues(seq: str) -> str:
-    return seq.upper().replace(".", GAP)
+    """Uppercase ASCII letters and ``.`` as a gap; any other character stays
+    as written, for :class:`Alignment` to accept or reject."""
+    return seq.translate(_RESIDUE_CASE)
 
 
 def parse_fasta(text: str) -> Alignment:
-    names: list[str] = []
-    chunks: list[list[str]] = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith(">"):
-            name = line[1:].split()[0] if line[1:].strip() else ""
-            if not name:
-                raise ParseError(f"line {ln}: empty sequence name")
-            names.append(name)
-            chunks.append([])
-        else:
-            if not names:
-                raise ParseError(f"line {ln}: sequence data before any '>' header")
-            chunks[-1].append(_clean_residues(line.replace(" ", "")))
-    if not names:
+    lines = [raw.strip() for raw in text.splitlines()]
+    first = next((i for i, line in enumerate(lines) if line), None)
+    if first is None:
         raise ParseError("no FASTA records found")
-    return Alignment(tuple(names), tuple("".join(c) for c in chunks))
+    if not lines[first].startswith(">"):
+        raise ParseError(f"line {first + 1}: sequence data before any '>' header")
+    heads = [i for i, line in enumerate(lines) if line.startswith(">")]
+    names = []
+    for i in heads:
+        words = lines[i][1:].split()
+        if not words:
+            raise ParseError(f"line {i + 1}: empty sequence name")
+        names.append(words[0])
+    ends = heads[1:] + [len(lines)]
+    rows = (_clean_residues("".join(lines[i + 1:j]).replace(" ", "")) for i, j in zip(heads, ends))
+    return Alignment(tuple(names), tuple(rows))
 
 
 def parse_stockholm(text: str) -> Alignment:
     lines = text.splitlines()
     if not lines or not lines[0].startswith("# STOCKHOLM"):
         raise ParseError("line 1: missing '# STOCKHOLM' header")
-    seqs: dict[str, list[str]] = {}
-    order: list[str] = []
+    seqs: dict[str, list[str]] = {}  # in order of first appearance
     for ln, raw in enumerate(lines[1:], start=2):
         line = raw.rstrip()
         if not line or line.startswith("#"):
@@ -109,13 +109,10 @@ def parse_stockholm(text: str) -> Alignment:
         if len(parts) != 2:
             raise ParseError(f"line {ln}: expected 'name sequence', got {line!r}")
         name, seq = parts
-        if name not in seqs:
-            seqs[name] = []
-            order.append(name)
-        seqs[name].append(_clean_residues(seq))
-    if not order:
+        seqs.setdefault(name, []).append(seq)
+    if not seqs:
         raise ParseError("no sequence lines found")
-    return Alignment(tuple(order), tuple("".join(seqs[n]) for n in order))
+    return Alignment(tuple(seqs), tuple(_clean_residues("".join(v)) for v in seqs.values()))
 
 
 # ------------------------------------------------------------------ Newick

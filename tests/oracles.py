@@ -760,3 +760,68 @@ def conservation_decimal(column, T, gap_mode, digits: int = 60):
 
         walk(T.root, None)
         return +h_u, +sum((term(n) for n in counts.values()), zero)
+
+
+# --------------------------------------------------------- alignment text
+
+
+def _clean_residues_ref(seq: str) -> str:
+    return seq.upper().replace(".", "-")
+
+
+def parse_fasta_ref(text: str) -> tuple[tuple, tuple]:
+    """(names, rows) of a FASTA text, read one line at a time, each data
+    line cleaned on its own and appended to the last record.  Raises the
+    library's ``ParseError`` with the same line anchors.  The uppercasing
+    is Unicode's, so the two readers agree only on ASCII text."""
+    from structent import ParseError
+
+    names: list[str] = []
+    chunks: list[list[str]] = []
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith(">"):
+            name = line[1:].split()[0] if line[1:].strip() else ""
+            if not name:
+                raise ParseError(f"line {ln}: empty sequence name")
+            names.append(name)
+            chunks.append([])
+        else:
+            if not names:
+                raise ParseError(f"line {ln}: sequence data before any '>' header")
+            chunks[-1].append(_clean_residues_ref(line.replace(" ", "")))
+    if not names:
+        raise ParseError("no FASTA records found")
+    return tuple(names), tuple("".join(c) for c in chunks)
+
+
+def parse_stockholm_ref(text: str) -> tuple[tuple, tuple]:
+    """(names, rows) of a Stockholm text, read one line at a time, each
+    sequence piece cleaned on its own; as :func:`parse_fasta_ref`, ASCII
+    text only."""
+    from structent import ParseError
+
+    lines = text.splitlines()
+    if not lines or not lines[0].startswith("# STOCKHOLM"):
+        raise ParseError("line 1: missing '# STOCKHOLM' header")
+    seqs: dict[str, list[str]] = {}
+    order: list[str] = []
+    for ln, raw in enumerate(lines[1:], start=2):
+        line = raw.rstrip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("//"):
+            break
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError(f"line {ln}: expected 'name sequence', got {line!r}")
+        name, seq = parts
+        if name not in seqs:
+            seqs[name] = []
+            order.append(name)
+        seqs[name].append(_clean_residues_ref(seq))
+    if not order:
+        raise ParseError("no sequence lines found")
+    return tuple(order), tuple("".join(seqs[n]) for n in order)

@@ -578,6 +578,40 @@ class TestConserve:
         assert code == 0
         assert out["n_cols"] == 2
 
+    @pytest.mark.parametrize("ch", textgen.NON_ASCII_LETTERS)
+    @pytest.mark.parametrize("text", [">a\nA{}\n>b\nAC\n", "# STOCKHOLM 1.0\na A{}\nb AC\n//\n"])
+    def test_non_ascii_letter_rejected(self, capsys, files, text, ch):
+        aln = files["tmp"] / "aln.txt"
+        aln.write_text(text.format(ch), encoding="utf-8")
+        assert main(["conserve", "--aln", str(aln)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"validation error: row 'a' column 2: invalid character {ch!r}\n"
+
+    @pytest.mark.parametrize("base", ["2", "e"])
+    def test_no_column_rebuild(self, capsys, files, monkeypatch, base):
+        # in base 2 the report is emitted as scored; in another base each
+        # scaled column is built once, with no dataclasses.replace call
+        import dataclasses
+
+        import structent.cli as cli
+
+        calls = []
+        replace = dataclasses.replace
+
+        def counted(*a, **kw):
+            calls.append(a)
+            return replace(*a, **kw)
+
+        monkeypatch.setattr(dataclasses, "replace", counted)
+        monkeypatch.setattr(cli, "replace", counted, raising=False)  # a name imported from dataclasses
+        monkeypatch.setenv("STRUCTENT_LOG_BASE", base)
+        fasta = files["tmp"] / "aln.fasta"
+        fasta.write_text(">r1\nAAAK\n>r2\nAVF-\n")
+        code, out = run(capsys, ["conserve", "--aln", str(fasta)])
+        assert code == 0 and calls == []
+        factor = 1.0 if base == "2" else math.log(2.0)
+        assert [c["h_u"] for c in out["columns"]] == pytest.approx([0.0, 0.25 * factor, 1.0 * factor, 0.0])
+
     def test_unknown_letter_with_custom_tree(self, capsys, files):
         fasta = files["tmp"] / "bad_aln.fasta"
         fasta.write_text(">r1\nW\n>r2\nW\n")

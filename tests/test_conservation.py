@@ -423,7 +423,8 @@ def test_no_per_column_calls(monkeypatch):
 
 def test_traced_memory_per_cell():
     # parsing and scoring a 400 x 3000 alignment allocate a few bytes per
-    # cell: the rows, their uint8 codes and the bin index of 16 rows at a time
+    # cell: the rows, their uint8 codes and the bin index of 16 rows of raw
+    # codes at a time (the codes are put in tree-leaf order after binning)
     rows, cols = 400, 3000
     rng = np.random.default_rng(11)
     cells = np.frombuffer(LETTERS.encode(), dtype=np.uint8)[rng.integers(0, len(LETTERS), (rows, cols))]

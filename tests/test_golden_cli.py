@@ -71,6 +71,8 @@ CASES = {
                            "--length", "7", "--epsilon", "0.2"], []),
     "conserve": (["conserve", "--aln", "{d}/aln.fasta", "--gap-mode", "extra-letter",
                   "--out", "{d}/conserve.csv"], ["conserve.csv"]),
+    "conserve_stockholm": (["conserve", "--aln", "{d}/aln.sto", "--gap-mode", "extra-letter",
+                            "--out", "{d}/conserve.csv"], ["conserve.csv"]),
     "notions_joint_line": (["notions", "--joint", "{d}/line_joint.json", "--row-structure", "{d}/line_rows.json",
                             "--col-structure", "{d}/line_cols.json"], []),
 }
@@ -109,7 +111,10 @@ def write_inputs(d: str) -> None:
     put("weighted.csv", "".join(f"{x!r},{p!r}\n" for x, p in zip(points.tolist(), rng.dirichlet(np.ones(7)).tolist())))
     put("sample.csv", "".join(f"{x!r}\n" for x in np.round(rng.normal(size=11), 2).tolist()))
     residues = np.array(list("ACDEFGHIKLMNPQRSTVWY-"))
-    put("aln.fasta", "".join(f">r{k}\n{''.join(residues[rng.integers(0, 21, size=16)])}\n" for k in range(5)))
+    seqs = ["".join(residues[rng.integers(0, 21, size=16)]) for _ in range(5)]
+    put("aln.fasta", "".join(f">r{k}\n{seq}\n" for k, seq in enumerate(seqs)))
+    blocks = ["".join(f"r{k}  {seq[i:i + 10].lower()}\n" for k, seq in enumerate(seqs)) for i in (0, 10)]
+    put("aln.sto", "# STOCKHOLM 1.0\n#=GF ID aln\n\n" + "\n".join(blocks) + "//\n")
     lines = [LinearAlphabet(np.cumsum(rng.uniform(0.05, 0.2, size=12)).tolist()) for _ in range(2)]
     put("line_joint.json", json.dumps({"row_alphabet": list(lines[0].points), "col_alphabet": list(lines[1].points),
                                        "matrix": random_joint_matrix(12, 12, rng).tolist()}))
@@ -163,6 +168,13 @@ def test_same_bytes(monkeypatch, expected, inputs, name, base):
     assert (code, stderr) == (0, "")
     assert stdout == expected[base][name]["stdout"]
     assert files == expected[base][name]["files"]
+
+
+@pytest.mark.parametrize("base", BASES)
+def test_stockholm_twin(expected, base):
+    # the same alignment as Stockholm, in two lowercase blocks, prints the
+    # same summary and writes the same report as the FASTA file
+    assert expected[base]["conserve_stockholm"] == expected[base]["conserve"]
 
 
 @pytest.mark.parametrize("name", list(CASES))

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+import oracles
 import textgen
 from structent import (
     AMINO_ACIDS,
@@ -21,6 +22,7 @@ from structent import (
     ParseError,
     Partition,
     PartitionStructure,
+    StructentError,
     ValidationError,
     distance_to_csv,
     distribution_to_json,
@@ -144,6 +146,57 @@ class TestStockholm:
     def test_no_sequences(self):
         with pytest.raises(ParseError):
             parse_stockholm("# STOCKHOLM 1.0\n//\n")
+
+
+def outcome(parse, text):
+    """The names and rows a parser gives, or the type and message it raises."""
+    try:
+        aln = parse(text)
+    except StructentError as e:
+        return type(e), str(e)
+    return aln.names, aln.rows
+
+
+class TestAlignmentText:
+    @pytest.mark.parametrize("ch", textgen.NON_ASCII_LETTERS)
+    @pytest.mark.parametrize("parse, text", [
+        (parse_fasta, ">a\nA{}\n>b\nAC\n"),
+        (parse_stockholm, "# STOCKHOLM 1.0\na A{}\nb AC\n//\n"),
+    ])
+    def test_non_ascii_rejected_as_written(self, parse, text, ch):
+        with pytest.raises(ValidationError) as e:
+            parse(text.format(ch))
+        assert str(e.value) == f"row 'a' column 2: invalid character {ch!r}"
+
+    @given(textgen.ascii_fastas())
+    @settings(max_examples=400, deadline=None)
+    def test_fasta_matches_line_reader(self, text):
+        assert text.isascii()
+        ref = outcome(lambda t: Alignment(*oracles.parse_fasta_ref(t)), text)
+        assert outcome(parse_fasta, text) == ref
+
+    @given(textgen.ascii_stockholms())
+    @settings(max_examples=400, deadline=None)
+    def test_stockholm_matches_line_reader(self, text):
+        assert text.isascii()
+        ref = outcome(lambda t: Alignment(*oracles.parse_stockholm_ref(t)), text)
+        assert outcome(parse_stockholm, text) == ref
+
+    def test_one_clean_per_record(self, monkeypatch):
+        # a record's wrapped lines are joined first and cleaned once
+        import structent.io as sio
+
+        calls = []
+        clean = sio._clean_residues
+        monkeypatch.setattr(sio, "_clean_residues", lambda seq: calls.append(seq) or clean(seq))
+        rows = ["acdefghiklmnpqrstvwy." * 15] * 7
+        text = "".join(f">r{k}\n" + "".join(row[i:i + 60] + "\n" for i in range(0, len(row), 60)) for k, row in enumerate(rows))
+        aln = parse_fasta(text)
+        assert len(calls) == len(rows) and aln.rows == tuple(r.upper().replace(".", "-") for r in rows)
+        calls.clear()
+        blocks = ["# STOCKHOLM 1.0"] + [f"r{k} {row[i:i + 60]}" for i in range(0, len(rows[0]), 60) for k, row in enumerate(rows)]
+        assert parse_stockholm("\n".join(blocks) + "\n//\n") == aln
+        assert len(calls) == len(rows)
 
 
 class TestNewick:

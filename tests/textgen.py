@@ -74,6 +74,74 @@ STOCKHOLM_TEXT = hst.lists(
 ).map(lambda lines: "\n".join(["# STOCKHOLM 1.0"] + lines) + "\n")
 
 
+ASCII_RESIDUES = "ACDGWYacdgwy-."
+NON_ASCII_LETTERS = ["\u0131", "\u017f", "\ufb01", "\u00df", "\u00e9"]  # ı, ſ, ﬁ, ß, é: their uppercase is ASCII or longer
+BLANK_LINES = hst.sampled_from(["", " ", "\t", " \t "])
+LINE_ENDS = hst.sampled_from(["\n", "\r\n", "\r"])
+
+
+@hst.composite
+def _ended(draw, lines: list[str]) -> str:
+    """``lines``, each ended by LF, CRLF or CR; the last ending now and then left off."""
+    text = "".join(line + draw(LINE_ENDS) for line in lines)
+    return text.rstrip("\r\n") if lines and draw(hst.booleans()) else text
+
+
+@hst.composite
+def _wrapped(draw, row: str) -> list[str]:
+    """``row`` cut into lines, now and then with a space inside a line or a
+    blank line after it."""
+    cuts = sorted(draw(hst.lists(hst.integers(0, len(row)), max_size=3)))
+    lines = []
+    for a, b in zip([0] + cuts, cuts + [len(row)]):
+        piece, i = row[a:b], draw(hst.integers(0, b - a))
+        lines.append(piece[:i] + " " + piece[i:] if draw(hst.booleans()) else piece)
+        if draw(hst.booleans()):
+            lines.append(draw(BLANK_LINES))
+    return lines
+
+
+@hst.composite
+def ascii_fastas(draw) -> str:
+    """ASCII FASTA text: most often equal-width records over lowercase and
+    uppercase letters, gaps and dots, wrapped, under headers with an
+    indent or a description; otherwise free lines of headers (a bare ``>``
+    among them), residues with inner spaces, tabs and foreign letters, and
+    blank lines, so data may come before the first header."""
+    if draw(hst.booleans()):
+        width, lines = draw(hst.integers(0, 6)), []
+        for k in range(draw(hst.integers(1, 3))):
+            lines.append(draw(hst.sampled_from(["", " ", "\t"])) + f">s{k}" + draw(hst.sampled_from(["", " desc", "\tdesc more"])))
+            lines += draw(_wrapped(draw(hst.text(alphabet=ASCII_RESIDUES, min_size=width, max_size=width))))
+    else:
+        header = hst.sampled_from(["", " ", "s1", "s2", " s1", "s1 a description", "s2\tx y"]).map(">".__add__)
+        lines = draw(hst.lists(header | hst.text(alphabet=ASCII_RESIDUES + "xz* \t", max_size=8) | BLANK_LINES, max_size=8))
+    return draw(_ended(lines))
+
+
+@hst.composite
+def ascii_stockholms(draw) -> str:
+    """ASCII Stockholm text: a header line (most often right), then either
+    equal-width blocks of ``name residues`` lines with ``#=GC`` and
+    ``#=GS`` annotations, blank lines and a ``//`` that may be missing, or
+    free lines of names, residues, annotations, ``//`` and blanks."""
+    lines = [draw(hst.sampled_from(["# STOCKHOLM 1.0"] * 4 + ["# STOCKHOLM", "#STOCKHOLM 1.0", ""]))]
+    names = ["s0", "s1", "s2"][:draw(hst.integers(1, 3))]
+    sep = hst.sampled_from([" ", "   ", "\t"])
+    if draw(hst.booleans()):
+        width = draw(hst.integers(1, 5))
+        for _ in range(draw(hst.integers(1, 3))):
+            residues = hst.text(alphabet=ASCII_RESIDUES, min_size=width, max_size=width)
+            lines += [draw(hst.sampled_from(["", " "])) + a + draw(sep) + draw(residues) for a in names]
+            lines += draw(hst.lists(hst.sampled_from(["#=GC SS_cons " + "." * width, "#=GS s0 DE text"]) | BLANK_LINES, max_size=2))
+        lines += draw(hst.sampled_from([[], ["//"], ["//", "junk line here"]]))
+    else:
+        residues = hst.text(alphabet=ASCII_RESIDUES + "x\t ", min_size=1, max_size=6)
+        named = hst.tuples(hst.sampled_from(names + ["#=GC"]), sep, residues).map("".join)
+        lines += draw(hst.lists(named | residues | hst.just("//") | BLANK_LINES, max_size=8))
+    return draw(_ended(lines))
+
+
 MEASURES = hst.sampled_from([0.0, 5e-324, 1e-310, 1e-300, 1e-12, 0.25, 0.5, 1.0, 3.0, 1e300, 1e308]) | hst.floats(
     0.0, 2.0
 )
