@@ -117,7 +117,10 @@ def _emit(payload: dict) -> None:
 
 def _read(path: str) -> str:
     with open(path, "r") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{path}: not a text file: {e}") from None
 
 
 def _write(path: str, text: str) -> None:
@@ -152,8 +155,9 @@ class _Parser(argparse.ArgumentParser):
 def _cmd_hu(args, f: float) -> dict:
     T = parse_newick(_read(args.tree), lengths=args.lengths)
     P = _dist_on(T.alphabet, parse_distribution_json(_read(args.probs)))
+    hu = f * hu_arcwise(T, P)
     out = {
-        "H_U": f * hu_arcwise(T, P),
+        "H_U": hu,
         "n": len(T.alphabet),
         "tree_height": T.height,
         "is_normalized": T.is_normalized,
@@ -162,7 +166,7 @@ def _cmd_hu(args, f: float) -> dict:
         out["forms"] = {
             "recursive": f * hu_recursive(T, P),
             "nodewise": f * hu_nodewise(T, P),
-            "arcwise": f * hu_arcwise(T, P),
+            "arcwise": hu,
             "bandwise": f * hu_bandwise(T, P),
         }
     if args.out_structure:
@@ -240,7 +244,7 @@ def _cmd_distance(args, f: float) -> dict:
                 P = _dist_on(D.alphabet, parse_distribution_json(_read(args.probs)))
                 out["H_U"] = f * hu_arcwise(T, P)
             if args.out:
-                _write(args.out, tree_to_newick(T) + "\n")
+                _write(args.out, out["newick"] + "\n")
                 out["tree_file"] = args.out
     else:
         S = parse_structure_json(_read(args.structure))

@@ -3,13 +3,21 @@
 All parsers take text and return validated domain objects, raising
 :class:`~structent.errors.ParseError` with a line/column anchor for
 malformed input.  Writers round-trip: parsing their output reproduces an
-equal object.
+equal object, and a writer raises :class:`~structent.errors.ValidationError`
+for a letter its reader would not give back.
+
+A Newick tree is a node then ``;`` (nothing after it is read), where a
+node is an optional parenthesised comma-separated list of nodes, a name
+running up to one of ``():,;`` or a space, tab, CR or LF, and an optional
+``:length`` with no space after the colon; spaces, tabs, CRs and LFs may
+stand between any other tokens.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 import string
 from dataclasses import dataclass
 from typing import Optional
@@ -118,44 +126,12 @@ def parse_stockholm(text: str) -> Alignment:
 # ------------------------------------------------------------------ Newick
 
 
-class _NewickCursor:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def error(self, msg: str) -> ParseError:
-        return ParseError(f"newick position {self.pos + 1}: {msg}")
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self) -> str:
-        ch = self.peek()
-        self.pos += 1
-        return ch
-
-    def skip_ws(self) -> None:
-        while self.peek() and self.peek() in " \t\r\n":
-            self.pos += 1
-
-
-def _newick_tail(cur: _NewickCursor) -> tuple[str, Optional[float]]:
-    """The name and branch length that end a node; length None when absent."""
-    start = cur.pos
-    while cur.peek() and cur.peek() not in "():,; \t\r\n":
-        cur.pos += 1
-    name = cur.text[start:cur.pos]
-    cur.skip_ws()
-    if cur.peek() != ":":
-        return name, None
-    cur.take()
-    start = cur.pos
-    while cur.peek() and cur.peek() in "0123456789.eE+-":
-        cur.pos += 1
-    try:
-        return name, _finite(cur.text[start:cur.pos])
-    except ValueError:
-        raise cur.error("malformed or non-finite branch length") from None
+# ``\s`` would also end a name at \x0b and \x0c, so the four whitespace
+# characters of the grammar are spelled out.
+_NAME_CHAR = r"[^():,; \t\r\n]"
+_NEWICK_NAME = re.compile(_NAME_CHAR + "+")
+_NEWICK_WS = re.compile(r"[ \t\r\n]*")
+_NEWICK_TAIL = re.compile(rf"({_NAME_CHAR}*)[ \t\r\n]*(?:(:)([0-9.eE+-]*))?")
 
 
 def parse_newick(text: str, lengths: str = "arc") -> UltrametricTree:
@@ -173,39 +149,48 @@ def parse_newick(text: str, lengths: str = "arc") -> UltrametricTree:
     """
     if lengths not in ("arc", "L"):
         raise ValidationError("lengths must be 'arc' or 'L'")
-    cur = _NewickCursor(text)
+    pos = 0  # an error names pos + 1, the 1-based position of the next unread character
+
+    def error(msg: str) -> ParseError:
+        return ParseError(f"newick position {pos + 1}: {msg}")
+
     parent: list[int] = []
     kids: list[list[int]] = []
     tail: list[tuple[str, Optional[float]]] = []
     open_nodes: list[int] = []  # internal nodes whose children are being read
     while True:
-        cur.skip_ws()
+        pos = _NEWICK_WS.match(text, pos).end()
         i = len(parent)
         parent.append(open_nodes[-1] if open_nodes else -1)
         kids.append([])
         tail.append(("", None))
         if open_nodes:
             kids[open_nodes[-1]].append(i)
-        if cur.peek() == "(":
-            cur.take()
+        if text.startswith("(", pos):
+            pos += 1
             open_nodes.append(i)
             continue
         while True:  # end node i, and every parent whose ')' follows
-            tail[i] = _newick_tail(cur)
+            m = _NEWICK_TAIL.match(text, pos)
+            pos = m.end()
+            try:
+                tail[i] = (m[1], _finite(m[3]) if m[2] else None)
+            except ValueError:
+                raise error("malformed or non-finite branch length") from None
             if not open_nodes:
                 break
-            cur.skip_ws()
-            ch = cur.take()
+            pos = _NEWICK_WS.match(text, pos).end() + 1
+            ch = text[pos - 1:pos]
             if ch == ",":
                 break
             if ch != ")":
-                raise cur.error(f"expected ',' or ')', got {ch!r}")
+                raise error(f"expected ',' or ')', got {ch!r}")
             i = open_nodes.pop()
         if not open_nodes:
             break
-    cur.skip_ws()
-    if cur.take() != ";":
-        raise cur.error("expected ';' at end of tree")
+    pos = _NEWICK_WS.match(text, pos).end() + 1
+    if text[pos - 1:pos] != ";":
+        raise error("expected ';' at end of tree")
     factor = 2.0 if lengths == "arc" else 1.0
 
     depth = [0.0] * len(parent)
@@ -239,6 +224,9 @@ def tree_to_newick(T: UltrametricTree, lengths: str = "arc") -> str:
     """Serialize an ultrametric tree; inverse of :func:`parse_newick`."""
     if lengths not in ("arc", "L"):
         raise ValidationError("lengths must be 'arc' or 'L'")
+    for a in T.alphabet:
+        if not _NEWICK_NAME.fullmatch(str(a)):
+            raise ValidationError(f"letter {a!r} cannot be written as a Newick name")
     factor = 0.5 if lengths == "arc" else 1.0
     h, parent = T._height, T._parent
 
@@ -289,6 +277,9 @@ def parse_distance_csv(text: str) -> DistanceMatrix:
 
 def distance_to_csv(D: DistanceMatrix) -> str:
     letters = [str(a) for a in D.alphabet.letters]
+    for a in letters:
+        if "," in a or a != a.strip() or "".join(a.splitlines()) != a:
+            raise ValidationError(f"letter {a!r} cannot be written as a CSV cell")
     lines = ["," + ",".join(letters)]
     for a, row in zip(letters, D.matrix):
         lines.append(a + "," + ",".join(f"{x:.12g}" for x in row))

@@ -531,18 +531,20 @@ def to_partition_structure(T: UltrametricTree) -> PartitionStructure:
     per band (leaf sets at the band floor) with the band width as measure.
 
     The structure entropy of the result equals the tree entropy for every
-    distribution, and its total measure is the root height, 1.
+    distribution.  A band whose floor is one block (under a pass-through
+    root) splits no letters and is left out, so the total measure is the
+    root height, 1, less the widths of such bands.
     """
     if not T.is_normalized:
         raise NotNormalized("tree root height must be 1")
     if len(T.alphabet) < 2:
         raise TooFewLetters("need at least two letters to form partitions")
-    letters = [T.alphabet.letters[j] for j in T._order]
-    items = [
-        (Partition(T.alphabet, [letters[T._lo[i]:T._hi[i]] for i in floor]), width)
-        for width, floor in _bands_from(T)
-    ]
-    return PartitionStructure(T.alphabet, items)
+    bands = _bands_from(T)
+    lo, hi = np.array(T._lo), np.array(T._hi)
+    labels = np.empty((len(bands), len(T.alphabet)), dtype=np.intp)
+    for row, (_, floor) in zip(labels, bands):  # floor nodes run in leaf order
+        row[T._order] = np.repeat(np.arange(len(floor)), hi[floor] - lo[floor])
+    return PartitionStructure._from_labels(T.alphabet, labels, [width for width, _ in bands])
 
 
 def check_binary_partition_minimality(

@@ -825,3 +825,119 @@ def parse_stockholm_ref(text: str) -> tuple[tuple, tuple]:
     if not order:
         raise ParseError("no sequence lines found")
     return tuple(order), tuple("".join(seqs[n]) for n in order)
+
+
+# ------------------------------------------------------------------ Newick
+
+
+class _NewickCursor:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def error(self, msg: str):
+        from structent import ParseError
+
+        return ParseError(f"newick position {self.pos + 1}: {msg}")
+
+    def peek(self) -> str:
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def take(self) -> str:
+        ch = self.peek()
+        self.pos += 1
+        return ch
+
+    def skip_ws(self) -> None:
+        while self.peek() and self.peek() in " \t\r\n":
+            self.pos += 1
+
+
+def _newick_tail_ref(cur: _NewickCursor):
+    """The name and branch length that end a node; length None when absent."""
+    start = cur.pos
+    while cur.peek() and cur.peek() not in "():,; \t\r\n":
+        cur.pos += 1
+    name = cur.text[start:cur.pos]
+    cur.skip_ws()
+    if cur.peek() != ":":
+        return name, None
+    cur.take()
+    start = cur.pos
+    while cur.peek() and cur.peek() in "0123456789.eE+-":
+        cur.pos += 1
+    try:
+        x = float(cur.text[start:cur.pos])
+        if math.isfinite(x):
+            return name, x
+    except ValueError:
+        pass
+    raise cur.error("malformed or non-finite branch length")
+
+
+def parse_newick_ref(text: str, lengths: str = "arc"):
+    """A Newick tree read one character at a time through a cursor with
+    ``peek``/``take``/``skip_ws``; the same grammar, checks, messages and
+    positions as ``structent.io.parse_newick``."""
+    from structent import Alphabet, ParseError, UltrametricTree, ValidationError, leaf, node
+
+    if lengths not in ("arc", "L"):
+        raise ValidationError("lengths must be 'arc' or 'L'")
+    cur = _NewickCursor(text)
+    parent: list[int] = []
+    kids: list[list[int]] = []
+    tail: list = []
+    open_nodes: list[int] = []
+    while True:
+        cur.skip_ws()
+        i = len(parent)
+        parent.append(open_nodes[-1] if open_nodes else -1)
+        kids.append([])
+        tail.append(("", None))
+        if open_nodes:
+            kids[open_nodes[-1]].append(i)
+        if cur.peek() == "(":
+            cur.take()
+            open_nodes.append(i)
+            continue
+        while True:
+            tail[i] = _newick_tail_ref(cur)
+            if not open_nodes:
+                break
+            cur.skip_ws()
+            ch = cur.take()
+            if ch == ",":
+                break
+            if ch != ")":
+                raise cur.error(f"expected ',' or ')', got {ch!r}")
+            i = open_nodes.pop()
+        if not open_nodes:
+            break
+    cur.skip_ws()
+    if cur.take() != ";":
+        raise cur.error("expected ';' at end of tree")
+    factor = 2.0 if lengths == "arc" else 1.0
+
+    depth = [0.0] * len(parent)
+    for i in range(1, len(parent)):
+        length = tail[i][1]
+        if length is None:
+            raise ValidationError("newick: branch length missing on an arc")
+        depth[i] = depth[parent[i]] + length
+    leaves = [i for i, k in enumerate(kids) if not k]
+    dmax = max(depth[i] for i in leaves)
+    dmin = min(depth[i] for i in leaves)
+    if dmax - dmin > 1e-9 * max(1.0, dmax):
+        raise ValidationError(f"newick leaves are not equidistant from the root ({dmin} vs {dmax})")
+    if not math.isfinite(factor * (dmax - min(depth))):
+        raise ValidationError("newick: the tree height overflows")
+
+    built: list = [None] * len(parent)
+    for i in reversed(range(len(parent))):
+        if kids[i]:
+            built[i] = node(factor * (dmax - depth[i]), [built[c] for c in kids[i]])
+        elif not tail[i][0]:
+            raise ParseError("newick leaf without a name")
+        else:
+            built[i] = leaf(tail[i][0])
+    return UltrametricTree(Alphabet(tuple(tail[i][0] for i in leaves)), built[0])

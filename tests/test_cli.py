@@ -122,6 +122,15 @@ class TestHu:
         for v in out["forms"].values():
             assert v == pytest.approx(out["H_U"], abs=1e-9)
 
+    def test_forms_compute_arcwise_once(self, capsys, files, monkeypatch):
+        import structent.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, "hu_arcwise", lambda T, P: calls.append(1) or hu_arcwise(T, P))
+        code, out = run(capsys, ["hu", "--tree", str(files["tree"]), "--probs", str(files["uniform"]), "--forms"])
+        assert code == 0 and len(calls) == 1
+        assert out["forms"]["arcwise"] == out["H_U"]
+
     def test_structure_export(self, capsys, files):
         target = files["tmp"] / "banded.json"
         code, out = run(
@@ -296,6 +305,37 @@ class TestDistance:
         )
         assert main(["distance", "--matrix", str(files["dist"]), "--out", str(files["tmp"] / "t.nwk")]) == 0
         assert len(calls) == 2  # one search per call, kept by the matrix
+
+    def test_matrix_mode_writes_the_newick_it_prints(self, capsys, files, monkeypatch):
+        import structent.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, "tree_to_newick", lambda T: calls.append(1) or tree_to_newick(T))
+        out_file = files["tmp"] / "t.nwk"
+        code, out = run(capsys, ["distance", "--matrix", str(files["dist"]), "--out", str(out_file)])
+        assert code == 0 and len(calls) == 1
+        assert out_file.read_text() == out["newick"] + "\n"
+
+    def test_matrix_mode_refuses_letters_newick_cannot_hold(self, capsys, tmp_path):
+        m = tmp_path / "m.csv"
+        m.write_text(",a b,c(1)\na b,0,1\nc(1),1,0\n")
+        out_file = tmp_path / "t.nwk"
+        assert main(["distance", "--matrix", str(m), "--out", str(out_file)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "validation error: letter 'a b' cannot be written as a Newick name\n"
+        assert not out_file.exists()
+
+    def test_structure_mode_refuses_letters_csv_cannot_hold(self, capsys, tmp_path):
+        s = tmp_path / "s.json"
+        s.write_text('{"alphabet": ["a,b", "c", "d"], '
+                     '"partitions": [{"measure": 1.0, "components": [["a,b"], ["c"], ["d"]]}]}')
+        out_file = tmp_path / "d.csv"
+        assert main(["distance", "--structure", str(s), "--out", str(out_file)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "validation error: letter 'a,b' cannot be written as a CSV cell\n"
+        assert not out_file.exists()
 
     def test_structure_mode_state_distances(self, capsys, files):
         out_file = files["tmp"] / "state.csv"
@@ -659,6 +699,18 @@ class TestExitCodes:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("parse error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name, data, argv", [
+        ("a.fasta", b">a\nA\xff\n", ["conserve", "--aln", "{f}"]),
+        ("t.nwk", b"((a:0.1,b:0.1):0.4,(c:0.1,\xe9d:0.1):0.4);", ["hu", "--tree", "{f}", "--probs", "{p}"]),
+    ])
+    def test_non_text_file_is_parse_error(self, capsys, files, name, data, argv):
+        f = files["tmp"] / name
+        f.write_bytes(data)
+        assert main([a.format(f=f, p=files["uniform"]) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"parse error: {f}: not a text file: ") and captured.err.count("\n") == 1
 
     def test_invalid_distribution_is_validation_error(self, capsys, files):
         bad = files["tmp"] / "badp.json"

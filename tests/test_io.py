@@ -18,14 +18,18 @@ from structent import (
     GAP,
     Alignment,
     Alphabet,
+    DistanceMatrix,
     Distribution,
     ParseError,
     Partition,
     PartitionStructure,
     StructentError,
+    UltrametricTree,
     ValidationError,
     distance_to_csv,
     distribution_to_json,
+    leaf,
+    node,
     parse_distance_csv,
     parse_distribution_json,
     parse_fasta,
@@ -35,6 +39,7 @@ from structent import (
     parse_stockholm,
     parse_structure_json,
     structure_to_json,
+    tree_equal,
     tree_to_distance,
     tree_to_newick,
 )
@@ -265,6 +270,80 @@ class TestNewick:
             parse_newick("(a:1e308,b:1e308);")  # arc lengths double into heights
         with pytest.raises(ValidationError, match="height overflows"):
             parse_newick("((a:1e308,b:1e308):1e308,(c:1e308,d:1e308):1e308);", lengths="L")
+
+
+def newick_outcome(parse, text, lengths):
+    """The alphabet and the preorder (letter, height, child count) a Newick
+    parser gives, or the type and message it raises."""
+    try:
+        T = parse(text, lengths=lengths)
+    except StructentError as e:
+        return type(e), str(e)
+    return T.alphabet, [(nd.letter, nd.height, len(nd.children)) for nd, _ in T.nodes()]
+
+
+class TestNewickScanner:
+    @pytest.mark.parametrize("text, expected", [
+        ("(a : 0.5 , b:0.5 ) ;", (ParseError, "newick position 5: malformed or non-finite branch length")),
+        ("(a: 0.5,b:0.5);", (ParseError, "newick position 4: malformed or non-finite branch length")),
+        ("(a:0.5,b:0.5) x;", (ParseError, "newick position 16: expected ';' at end of tree")),
+        ("(a:0.5,b:0.5); x", (Alphabet(("a", "b")), [(None, 1.0, 2), ("b", 0.0, 0), ("a", 0.0, 0)])),
+        ("(a\x0bb:1,c:1);", (Alphabet(("a\x0bb", "c")), [(None, 2.0, 2), ("c", 0.0, 0), ("a\x0bb", 0.0, 0)])),
+    ])
+    def test_pinned_cases(self, text, expected):
+        assert newick_outcome(parse_newick, text, "arc") == expected
+        assert newick_outcome(oracles.parse_newick_ref, text, "arc") == expected
+
+    @given(
+        textgen.newick_trees().map(lambda t: t[0]) | textgen.NEWICK_JUNK | textgen.edited_newicks(),
+        hst.sampled_from(["arc", "L"]),
+    )
+    @settings(max_examples=1500, deadline=None)
+    def test_matches_cursor_reader(self, text, lengths):
+        ref = newick_outcome(oracles.parse_newick_ref, text, lengths)
+        assert newick_outcome(parse_newick, text, lengths) == ref
+
+
+LETTER_TEXT = hst.text(alphabet="ab", min_size=1, max_size=3) | hst.text(
+    alphabet="ab(),:; \t\r\n\x0b\x0c\x1c\x85\u2028", max_size=3
+)
+
+
+class TestWritersRefuseUnreadableLetters:
+    @pytest.mark.parametrize("letter", ["a b", "c(1)", "x:1", "a;", "a\tb", "a\nb", "", ")"])
+    def test_newick(self, letter):
+        A = Alphabet(("ok", letter, "z,"))  # "z," is refused too, but comes later in the alphabet
+        T = UltrametricTree(A, node(1.0, [leaf("z,"), leaf(letter), leaf("ok")]))
+        with pytest.raises(ValidationError) as e:
+            tree_to_newick(T)
+        assert str(e.value) == f"letter {letter!r} cannot be written as a Newick name"
+
+    @pytest.mark.parametrize("letter", ["a,b", " a", "a\t", "a\nb", "a\rb", "a\x0bb", "a\x1cb", "a\u2028b"])
+    def test_csv(self, letter):
+        A = Alphabet(("ok", letter, "z\n"))
+        with pytest.raises(ValidationError) as e:
+            distance_to_csv(DistanceMatrix(A, np.ones((3, 3)) - np.eye(3)))
+        assert str(e.value) == f"letter {letter!r} cannot be written as a CSV cell"
+
+    @given(hst.lists(LETTER_TEXT, min_size=3, max_size=5, unique=True))
+    @settings(max_examples=300, deadline=None)
+    def test_write_refuses_or_round_trips(self, letters):
+        A = Alphabet(tuple(letters))
+        T = UltrametricTree(A, node(1.0, [node(0.5, [leaf(letters[0]), leaf(letters[1])])] + [leaf(a) for a in letters[2:]]))
+        try:
+            text = tree_to_newick(T)
+        except ValidationError as e:
+            assert any(str(e).startswith(f"letter {a!r} ") for a in letters)
+        else:
+            assert tree_equal(parse_newick(text), T)
+        D = tree_to_distance(T)
+        try:
+            text = distance_to_csv(D)
+        except ValidationError as e:
+            assert any(str(e).startswith(f"letter {a!r} ") for a in letters)
+        else:
+            back = parse_distance_csv(text)
+            assert back.alphabet == A and np.array_equal(back.matrix, D.matrix)
 
 
 class TestDistanceCsv:

@@ -17,6 +17,8 @@ from structent import (
     Distribution,
     NotUltrametric,
     Partition,
+    PartitionStructure,
+    TreeNode,
     UltrametricTree,
     ValidationError,
     ZeroMassSide,
@@ -535,6 +537,16 @@ class TestToPartitionStructure:
             assert len(got) == len(want)
             for blocks, width in want:
                 assert got[blocks] == pytest.approx(width, abs=1e-8)
+
+    def test_pass_through_root_drops_its_one_block_band(self):
+        # the band above the cherry has one block: it splits no letters
+        A = Alphabet(("a", "b"))
+        T = UltrametricTree(A, TreeNode(height=1.0, children=(node(0.5, [leaf("a"), leaf("b")]),), passthrough=True))
+        P = Distribution.uniform(A)
+        S = to_partition_structure(T)
+        assert S == PartitionStructure(A, [(Partition.singletons(A), 0.5)])
+        assert hu_arcwise(T, P) == hu_bandwise(T, P) == 0.5
+        assert h_s(StructuredAlphabet(P, S)) == pytest.approx(hu_arcwise(T, P), abs=1e-15)
 
     def test_non_normalized_tree_rejected(self, abcd):
         T = UltrametricTree(

@@ -37,6 +37,23 @@ def newick_trees(draw) -> tuple[str, list[str]]:
 
 
 NEWICK_JUNK = hst.text(alphabet="(),:;ab01e.+-nif \n", max_size=30)
+VALID_NEWICKS = ["(a:0.5,b:0.5);", "((a:0.1,b:0.1):0.4,(c:0.1,d:0.1):0.4);", "( a :0.25 ,\tb:2.5e-1\r\n) ;\n"]
+NEWICK_EDIT_CHARS = "(),;: \t\r\n\x0b\x0cab.0123456789eE+-x"
+
+
+@hst.composite
+def edited_newicks(draw) -> str:
+    """A valid Newick tree after one to four single-character inserts,
+    deletes or replacements drawn from ``NEWICK_EDIT_CHARS``."""
+    text = list(draw(hst.sampled_from(VALID_NEWICKS)))
+    for _ in range(draw(hst.integers(1, 4))):
+        i, ch = draw(hst.integers(0, len(text))), draw(hst.sampled_from(NEWICK_EDIT_CHARS))
+        op = draw(hst.sampled_from(["insert", "delete", "replace"]))
+        if op == "insert":
+            text.insert(i, ch)
+        elif i < len(text):
+            text[i:i + 1] = [ch] if op == "replace" else []
+    return "".join(text)
 
 
 @hst.composite
