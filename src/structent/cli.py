@@ -52,9 +52,9 @@ from .coding import (
 )
 from .conservation import (
     DEFAULT_COVERAGE_THRESHOLD,
-    ColumnScore,
-    ConservationReport,
-    conservation_score,
+    _format12,
+    _report_csv,
+    _score_columns,
     synthetic_aa_tree,
 )
 from .io import (
@@ -101,13 +101,17 @@ def _log_base() -> tuple[str, float]:
     raise ValidationError(f"STRUCTENT_LOG_BASE must be 2, e, or 10, not {raw!r}")
 
 
+class _Rounded(list):
+    """A list whose floats are already rounded; `_round12` passes it on."""
+
+
 def _round12(x):
     if isinstance(x, float):  # JSON has no NaN or infinity: they print as null
         return float(f"{x:.12g}") if math.isfinite(x) else None
     if isinstance(x, dict):
         return {k: _round12(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
-        return [_round12(v) for v in x]
+        return x if isinstance(x, _Rounded) else [_round12(v) for v in x]
     return x
 
 
@@ -398,34 +402,26 @@ def _cmd_conserve(args, f: float) -> dict:
         T = parse_newick(_read(args.tree), lengths=args.lengths)
     else:
         T = synthetic_aa_tree(include_gap=(args.gap_mode == "extra-letter"))
-    report = conservation_score(
-        aln, T, gap_mode=args.gap_mode, coverage_threshold=args.coverage_threshold
-    )
+    coverage, h_u, h, _, flagged = _score_columns(aln, T, args.gap_mode, args.coverage_threshold)
     if f != 1.0:  # in base 2 the bits are printed as they are
-        scaled = (ColumnScore(c.index, c.coverage, f * c.h_u, f * c.h, c.h_reduced, c.flagged) for c in report.columns)
-        report = ConservationReport(report.gap_mode, report.coverage_threshold, tuple(scaled))
-    scores = [c.h_u for c in report.columns]
+        h_u, h = f * h_u, f * h
+    # each float is formatted once, for the CSV, and read back for the summary; inf and nan print null
+    index, flags = range(1, aln.n_cols + 1), flagged.tolist()
+    cells = [_format12(x.tolist()) for x in (coverage, h_u, h)]
+    values = ([None if "n" in s else float(s) for s in col] for col in cells)
     out = {
         "n_rows": aln.n_rows,
         "n_cols": aln.n_cols,
-        "gap_mode": report.gap_mode,
-        "coverage_threshold": report.coverage_threshold,
-        "flagged": list(report.flagged_columns),
-        "mean_h_u": float(np.mean(scores)) if scores else 0.0,
-        "max_h_u": max(scores, default=0.0),
-        "columns": [
-            {
-                "column": c.index,
-                "coverage": c.coverage,
-                "h_u": c.h_u,
-                "h": c.h,
-                "flagged": c.flagged,
-            }
-            for c in report.columns
-        ],
+        "gap_mode": args.gap_mode,
+        "coverage_threshold": args.coverage_threshold,
+        "flagged": (np.flatnonzero(flagged) + 1).tolist(),
+        "mean_h_u": float(h_u.mean()) if aln.n_cols else 0.0,
+        "max_h_u": max(h_u.tolist(), default=0.0),
+        "columns": _Rounded({"column": j, "coverage": c, "h_u": u, "h": e, "flagged": g}
+                            for j, c, u, e, g in zip(index, *values, flags)),
     }
     if args.out:
-        _write(args.out, report.to_csv())
+        _write(args.out, _report_csv(index, *cells, flags))
         out["report_file"] = args.out
     return out
 

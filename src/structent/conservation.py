@@ -4,16 +4,16 @@ Each column's letter frequencies form a distribution over the leaves of an
 ultrametric tree of amino-acid distances; the tree-weighted entropy then
 scores conservation.  A fully conserved column scores 0; a 50/50 split
 inside a height-``h`` cluster scores ``h``; the same split across clusters
-of a normalized tree scores 1.  Classical entropy is reported alongside so
-the structure-blind and structure-aware views can be compared per column.
-The alignment's uint8 codes are binned as they are, a few rows at a time,
-into a columns x codes count matrix that one gather puts into tree-leaf
-order.  The columns are then scored in blocks, with no per-column Python
-call: integer prefix sums of the counts give every node's count exactly,
-each node's mass is that count over the column total, and ``H_U`` is the
-row sum of the elementwise kernel ``-m log2 m`` times the arc lengths, the
-sum ``hu_arcwise`` takes per column.  Each row is summed on its own, so a
-column's scores do not depend on the other columns scored with it.
+of a normalized tree scores 1.  Classical entropy is reported alongside,
+the structure-blind view.  The alignment's uint8 codes are binned, a few
+rows at a time, into a columns x codes count matrix that one gather puts
+into tree-leaf order.  The columns are then scored in blocks, with no
+per-column Python call: integer prefix sums of the counts give every
+node's count exactly, each node's mass is that count over the column
+total, and ``H_U`` is the row sum of the kernel ``-m log2 m`` times the arc
+lengths, as ``hu_arcwise`` sums it per column.  Each row is summed on its
+own, so a column's scores do not depend on the other columns scored with
+it.  The column arrays are formatted once, for the CSV and the summary.
 """
 
 from __future__ import annotations
@@ -87,19 +87,25 @@ class ConservationReport:
         return tuple(c.index for c in self.columns if c.flagged)
 
     def to_csv(self) -> str:
-        has_reduced = any(c.h_reduced is not None for c in self.columns)
-        header = "column,coverage,h_u,h"
-        if has_reduced:
-            header += ",h_reduced"
-        header += ",flagged"
-        lines = [header]
-        for c in self.columns:
-            row = f"{c.index},{c.coverage:.12g},{c.h_u:.12g},{c.h:.12g}"
-            if has_reduced:
-                row += "," + ("" if c.h_reduced is None else f"{c.h_reduced:.12g}")
-            row += f",{int(c.flagged)}"
-            lines.append(row)
-        return "\n".join(lines) + "\n"
+        cols, red = self.columns, [c.h_reduced for c in self.columns]
+        floats = (_format12([getattr(c, k) for c in cols]) for k in ("coverage", "h_u", "h"))
+        cells = iter(_format12([x for x in red if x is not None]))
+        return _report_csv([c.index for c in cols], *floats, [c.flagged for c in cols],
+                           ["" if x is None else next(cells) for x in red])
+
+
+def _format12(values: list) -> list[str]:
+    """Each value as ``f"{x:.12g}"`` writes it, in one format call."""
+    return ("%.12g\n" * len(values) % tuple(values)).split()
+
+
+def _report_csv(index, coverage, h_u, h, flagged, h_reduced=()) -> str:
+    """The CSV report, its float cells already formatted by `_format12`; the
+    ``h_reduced`` column is written when any of its cells is not empty."""
+    red = [h_reduced] if any(h_reduced) else []
+    header = "column,coverage,h_u,h" + ",h_reduced" * len(red) + ",flagged"
+    rows = zip(map(str, index), coverage, h_u, h, *red, map(str, map(int, flagged)))
+    return "\n".join([header, *map(",".join, rows)]) + "\n"
 
 
 def conservation_score(
@@ -116,11 +122,19 @@ def conservation_score(
     treats the gap as an ordinary letter, which `T` must then include.
     Columns with coverage below `coverage_threshold` are flagged.
     """
+    columns = [[None] * aln.n_cols if x is None else x.tolist()
+               for x in _score_columns(aln, T, gap_mode, coverage_threshold, reduce_partition)]
+    scores = map(ColumnScore, range(1, aln.n_cols + 1), *columns)
+    return ConservationReport(gap_mode, coverage_threshold, tuple(scores))
+
+
+def _score_columns(aln: Alignment, T: UltrametricTree, gap_mode: str, threshold: float, reduce_partition=None):
+    """`conservation_score`'s arrays: coverage, H_U, H, the reduced H (or None) and the flags."""
     if gap_mode not in ("skip", "extra-letter"):
         raise ValidationError("gap_mode must be 'skip' or 'extra-letter'")
     if gap_mode == "extra-letter" and GAP not in T.alphabet:
         raise AlphabetMismatch("extra-letter mode needs the gap symbol in the tree")
-    if not (0.0 <= coverage_threshold <= 1.0):
+    if not (0.0 <= threshold <= 1.0):
         raise ValidationError("coverage_threshold must lie in [0, 1]")
 
     letters = AMINO_ACIDS + GAP  # the codes of aln._codes
@@ -136,7 +150,7 @@ def conservation_score(
     for r in range(0, aln.n_rows, 16):  # 16 rows at a time bound the bin index
         counts += np.bincount((codes[r:r + 16] + cell).ravel(), minlength=counts.size)
     counts = counts.reshape(aln.n_cols, width)
-    coverage = ((aln.n_rows - counts[:, width - 1]) / aln.n_rows).tolist()
+    coverage = (aln.n_rows - counts[:, width - 1]) / aln.n_rows
     bad = np.flatnonzero(counts.take(missing, axis=1).any(axis=1))
     if bad.size:  # the first such column, and its first such letter in row order
         j = int(bad[0])
@@ -165,11 +179,8 @@ def conservation_score(
         h[block] = terms.take(leaves, axis=1).sum(axis=1) + 0.0
         terms *= arcs
         h_u[block] = terms.sum(axis=1) + 0.0
-    if reduce_partition is None:
-        h_red = [None] * len(total)
-    else:
+    h_red = None
+    if reduce_partition is not None:
         groups = C @ _onehot(reduce_partition.labels[T._order])
-        h_red = (_entropy_terms(groups / denom).sum(axis=1) + 0.0).tolist()
-    flagged = [e or c < coverage_threshold for c, e in zip(coverage, empty.tolist())]
-    scores = map(ColumnScore, range(1, len(coverage) + 1), coverage, h_u.tolist(), h.tolist(), h_red, flagged)
-    return ConservationReport(gap_mode, coverage_threshold, tuple(scores))
+        h_red = _entropy_terms(groups / denom).sum(axis=1) + 0.0
+    return coverage, h_u, h, h_red, empty | (coverage < threshold)

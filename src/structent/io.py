@@ -179,17 +179,18 @@ def parse_newick(text: str, lengths: str = "arc") -> UltrametricTree:
                 raise error("malformed or non-finite branch length") from None
             if not open_nodes:
                 break
-            pos = _NEWICK_WS.match(text, pos).end() + 1
-            ch = text[pos - 1:pos]
+            pos = _NEWICK_WS.match(text, pos).end()
+            ch = text[pos:pos + 1]
+            if ch not in (",", ")"):
+                raise error(f"expected ',' or ')', got {ch!r}")
+            pos += 1
             if ch == ",":
                 break
-            if ch != ")":
-                raise error(f"expected ',' or ')', got {ch!r}")
             i = open_nodes.pop()
         if not open_nodes:
             break
-    pos = _NEWICK_WS.match(text, pos).end() + 1
-    if text[pos - 1:pos] != ";":
+    pos = _NEWICK_WS.match(text, pos).end()
+    if not text.startswith(";", pos):
         raise error("expected ';' at end of tree")
     factor = 2.0 if lengths == "arc" else 1.0
 
@@ -224,9 +225,7 @@ def tree_to_newick(T: UltrametricTree, lengths: str = "arc") -> str:
     """Serialize an ultrametric tree; inverse of :func:`parse_newick`."""
     if lengths not in ("arc", "L"):
         raise ValidationError("lengths must be 'arc' or 'L'")
-    for a in T.alphabet:
-        if not _NEWICK_NAME.fullmatch(str(a)):
-            raise ValidationError(f"letter {a!r} cannot be written as a Newick name")
+    _letter_texts(T.alphabet, _NEWICK_NAME.fullmatch, "a Newick name")
     factor = 0.5 if lengths == "arc" else 1.0
     h, parent = T._height, T._parent
 
@@ -275,11 +274,20 @@ def parse_distance_csv(text: str) -> DistanceMatrix:
     return DistanceMatrix(Alphabet(tuple(header)), m)
 
 
+def _letter_texts(alphabet: Alphabet, writable, what: str) -> list[str]:
+    """The letters' texts, refusing a letter its reader would not give back."""
+    texts: dict = {}
+    for a in alphabet.letters:
+        if not writable(str(a)):
+            raise ValidationError(f"letter {a!r} cannot be written as {what}")
+        if texts.setdefault(str(a), a) is not a:
+            raise ValidationError(f"letter {a!r} has the text of the earlier letter {texts[str(a)]!r}")
+    return list(texts)
+
+
 def distance_to_csv(D: DistanceMatrix) -> str:
-    letters = [str(a) for a in D.alphabet.letters]
-    for a in letters:
-        if "," in a or a != a.strip() or "".join(a.splitlines()) != a:
-            raise ValidationError(f"letter {a!r} cannot be written as a CSV cell")
+    letters = _letter_texts(D.alphabet, lambda a: "," not in a and a == a.strip() == "".join(a.splitlines()),
+                            "a CSV cell")
     lines = ["," + ",".join(letters)]
     for a, row in zip(letters, D.matrix):
         lines.append(a + "," + ",".join(f"{x:.12g}" for x in row))

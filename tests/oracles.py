@@ -10,6 +10,7 @@ from __future__ import annotations
 import decimal
 import heapq
 import itertools
+import json
 import math
 
 import numpy as np
@@ -762,6 +763,69 @@ def conservation_decimal(column, T, gap_mode, digits: int = 60):
         return +h_u, +sum((term(n) for n in counts.values()), zero)
 
 
+# ------------------------------------------------------ conserve output
+
+
+def round12_ref(x):
+    """JSON rounding one value at a time: a float to 12 significant digits,
+    or None when it is not finite, walking into dicts, lists and tuples."""
+    if isinstance(x, float):
+        return float(f"{x:.12g}") if math.isfinite(x) else None
+    if isinstance(x, dict):
+        return {k: round12_ref(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [round12_ref(v) for v in x]
+    return x
+
+
+def report_csv_ref(report) -> str:
+    """The CSV of a ``ConservationReport``, one f-string per cell; the
+    ``h_reduced`` column is written when any column has a reduced entropy."""
+    has_reduced = any(c.h_reduced is not None for c in report.columns)
+    header = "column,coverage,h_u,h"
+    if has_reduced:
+        header += ",h_reduced"
+    header += ",flagged"
+    lines = [header]
+    for c in report.columns:
+        row = f"{c.index},{c.coverage:.12g},{c.h_u:.12g},{c.h:.12g}"
+        if has_reduced:
+            row += "," + ("" if c.h_reduced is None else f"{c.h_reduced:.12g}")
+        row += f",{int(c.flagged)}"
+        lines.append(row)
+    return "\n".join(lines) + "\n"
+
+
+def conserve_output_ref(aln, gap_mode: str, factor: float, log_base: str, report_file: str) -> tuple[str, str]:
+    """The stdout line and CSV report of ``structent conserve --out
+    report_file`` with the bundled tree, built from the public report one
+    column at a time: each ``ColumnScore`` scaled by ``factor``, one dict
+    per column, every float rounded by :func:`round12_ref`."""
+    from structent import ColumnScore, ConservationReport, conservation_score, synthetic_aa_tree
+
+    report = conservation_score(aln, synthetic_aa_tree(include_gap=gap_mode == "extra-letter"), gap_mode=gap_mode)
+    scaled = [ColumnScore(c.index, c.coverage, factor * c.h_u, factor * c.h, c.h_reduced, c.flagged)
+              for c in report.columns]
+    report = ConservationReport(report.gap_mode, report.coverage_threshold, tuple(scaled))
+    scores = [c.h_u for c in report.columns]
+    out = {
+        "n_rows": aln.n_rows,
+        "n_cols": aln.n_cols,
+        "gap_mode": report.gap_mode,
+        "coverage_threshold": report.coverage_threshold,
+        "flagged": list(report.flagged_columns),
+        "mean_h_u": float(np.mean(scores)) if scores else 0.0,
+        "max_h_u": max(scores, default=0.0),
+        "columns": [
+            {"column": c.index, "coverage": c.coverage, "h_u": c.h_u, "h": c.h, "flagged": c.flagged}
+            for c in report.columns
+        ],
+        "report_file": report_file,
+        "log_base": log_base,
+    }
+    return json.dumps(round12_ref(out), sort_keys=True) + "\n", report_csv_ref(report)
+
+
 # --------------------------------------------------------- alignment text
 
 
@@ -905,16 +969,17 @@ def parse_newick_ref(text: str, lengths: str = "arc"):
             if not open_nodes:
                 break
             cur.skip_ws()
-            ch = cur.take()
+            ch = cur.peek()
+            if ch not in (",", ")"):
+                raise cur.error(f"expected ',' or ')', got {ch!r}")
+            cur.take()
             if ch == ",":
                 break
-            if ch != ")":
-                raise cur.error(f"expected ',' or ')', got {ch!r}")
             i = open_nodes.pop()
         if not open_nodes:
             break
     cur.skip_ws()
-    if cur.take() != ";":
+    if cur.peek() != ";":
         raise cur.error("expected ';' at end of tree")
     factor = 2.0 if lengths == "arc" else 1.0
 

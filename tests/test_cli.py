@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
+import oracles
 import textgen
 
 import structent
@@ -337,6 +338,17 @@ class TestDistance:
         assert captured.err == "validation error: letter 'a,b' cannot be written as a CSV cell\n"
         assert not out_file.exists()
 
+    def test_structure_mode_refuses_letters_of_one_text(self, capsys, tmp_path):
+        s = tmp_path / "s.json"
+        s.write_text('{"alphabet": [1, "1", "b"], '
+                     '"partitions": [{"measure": 1.0, "components": [[1], ["1"], ["b"]]}]}')
+        out_file = tmp_path / "d.csv"
+        assert main(["distance", "--structure", str(s), "--out", str(out_file)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "validation error: letter '1' has the text of the earlier letter 1\n"
+        assert not out_file.exists()
+
     def test_structure_mode_state_distances(self, capsys, files):
         out_file = files["tmp"] / "state.csv"
         code, out = run(
@@ -629,28 +641,86 @@ class TestConserve:
 
     @pytest.mark.parametrize("base", ["2", "e"])
     def test_no_column_rebuild(self, capsys, files, monkeypatch, base):
-        # in base 2 the report is emitted as scored; in another base each
-        # scaled column is built once, with no dataclasses.replace call
+        # the scores go from their arrays to the output: no ColumnScore is
+        # built, no dataclasses.replace is called, and the column rows pass
+        # through _round12 in one call, however many columns there are
         import dataclasses
 
         import structent.cli as cli
+        from structent import ColumnScore
 
-        calls = []
-        replace = dataclasses.replace
+        calls, rounded = [], []
+        replace, init, round12 = dataclasses.replace, ColumnScore.__init__, cli._round12
 
         def counted(*a, **kw):
             calls.append(a)
             return replace(*a, **kw)
 
+        def built(self, *a, **kw):
+            calls.append(a)
+            init(self, *a, **kw)
+
+        def round_counted(x):
+            rounded.append(1)
+            return round12(x)
+
         monkeypatch.setattr(dataclasses, "replace", counted)
         monkeypatch.setattr(cli, "replace", counted, raising=False)  # a name imported from dataclasses
+        monkeypatch.setattr(ColumnScore, "__init__", built)
+        monkeypatch.setattr(cli, "_round12", round_counted)
         monkeypatch.setenv("STRUCTENT_LOG_BASE", base)
         fasta = files["tmp"] / "aln.fasta"
-        fasta.write_text(">r1\nAAAK\n>r2\nAVF-\n")
-        code, out = run(capsys, ["conserve", "--aln", str(fasta)])
-        assert code == 0 and calls == []
+        per_width = []
+        for width in (1, 10):
+            fasta.write_text(f">r1\n{'AAAK' * width}\n>r2\n{'AVF-' * width}\n")
+            rounded.clear()
+            code, out = run(capsys, ["conserve", "--aln", str(fasta), "--out", str(files["tmp"] / "c.csv")])
+            assert code == 0 and calls == []
+            per_width.append(len(rounded))
+        assert per_width[0] == per_width[1]
         factor = 1.0 if base == "2" else math.log(2.0)
-        assert [c["h_u"] for c in out["columns"]] == pytest.approx([0.0, 0.25 * factor, 1.0 * factor, 0.0])
+        assert [c["h_u"] for c in out["columns"]] == pytest.approx([0.0, 0.25 * factor, 1.0 * factor, 0.0] * 10)
+
+    @given(textgen.ascii_fastas(), hst.sampled_from(["skip", "extra-letter"]), hst.sampled_from(["2", "e", "10"]))
+    @settings(max_examples=300, deadline=None)
+    def test_same_bytes_as_column_by_column_reference(self, text, gap_mode, base):
+        # stdout and the CSV equal those of the report built one ColumnScore
+        # and one dict per column, each float rounded one at a time
+        self._same_bytes(text, gap_mode, base)
+
+    @pytest.mark.parametrize("gap_mode", ["skip", "extra-letter"])
+    @pytest.mark.parametrize("base", ["2", "e", "10"])
+    def test_wide_alignment_same_bytes_as_reference(self, gap_mode, base):
+        rng = np.random.default_rng(2107)
+        grid = rng.choice(list("ACDEFGHIKLMNPQRSTVWY-"), size=(9, 400), p=[0.03] * 20 + [0.4])
+        grid[:, :40] = "-"  # all-gap columns
+        grid[:, 40:80] = "W"  # conserved columns
+        self._same_bytes("".join(f">r{k}\n{''.join(row)}\n" for k, row in enumerate(grid)), gap_mode, base)
+
+    @staticmethod
+    def _same_bytes(text, gap_mode, base):
+        from unittest import mock
+
+        from structent import parse_fasta
+        from structent.errors import StructentError
+
+        with tempfile.TemporaryDirectory() as d, mock.patch.dict(os.environ, {"STRUCTENT_LOG_BASE": base}):
+            aln, csv = os.path.join(d, "aln.fasta"), os.path.join(d, "report.csv")
+            with open(aln, "w") as fh:
+                fh.write(text)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main(["conserve", "--aln", aln, "--format", "fasta", "--gap-mode", gap_mode, "--out", csv])
+            factor = {"2": 1.0, "e": math.log(2.0), "10": math.log10(2.0)}[base]
+            try:
+                want = oracles.conserve_output_ref(parse_fasta(text), gap_mode, factor, base, csv)
+            except StructentError as e:
+                assert code == (2 if isinstance(e, ParseError) else 1)
+                assert out.getvalue() == "" and not os.path.exists(csv)
+                return
+            assert code == 0
+            with open(csv) as fh:
+                assert (out.getvalue(), fh.read()) == want
 
     def test_unknown_letter_with_custom_tree(self, capsys, files):
         fasta = files["tmp"] / "bad_aln.fasta"

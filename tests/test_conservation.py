@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import decimal
 import math
 import tracemalloc
@@ -17,6 +18,8 @@ from structent import (
     GAP,
     Alignment,
     AlphabetMismatch,
+    ColumnScore,
+    ConservationReport,
     Partition,
     SYNTHETIC_CLUSTER_HEIGHT,
     ValidationError,
@@ -26,6 +29,7 @@ from structent import (
     synthetic_aa_tree,
     tree_to_distance,
 )
+from structent.conservation import _format12
 from structent.sampling import random_partition
 
 LETTERS = AMINO_ACIDS + GAP
@@ -222,6 +226,28 @@ class TestReport:
             T = synthetic_aa_tree(include_gap=gap_mode == "extra-letter")
             lines = conservation_score(aln, T, gap_mode=gap_mode).to_csv().splitlines()
             assert lines[1:] == ["1,1,0,0,0", "2,0,0,0,1"]
+
+    @pytest.mark.parametrize("reduced", [False, True])
+    @pytest.mark.parametrize("gap_mode", ["skip", "extra-letter"])
+    def test_csv_matches_fstring_reference(self, gap_mode, reduced):
+        rng = np.random.default_rng(2108)
+        T = synthetic_aa_tree(include_gap=gap_mode == "extra-letter")
+        rows = ["".join(rng.choice(list(LETTERS), size=90, p=[0.02] * 20 + [0.6])) for _ in range(7)]
+        rows = ["-" * 10 + r[10:] for r in rows]  # all-gap columns
+        part = random_partition(T.alphabet, rng) if reduced else None
+        report = conservation_score(Alignment(tuple(map(str, range(7))), tuple(rows)), T, gap_mode=gap_mode,
+                                    reduce_partition=part)
+        assert report.to_csv() == oracles.report_csv_ref(report)
+
+    def test_built_report_csv_matches_fstring_reference(self):
+        # a report built by hand: one h_reduced cell empty, any index, a float
+        # at each formatting edge
+        cells = [0.0, -0.0, 5e-324, 1e12, 123456789012345.6, 1e16, 1 / 3, math.inf, math.nan, 2.0 ** 60]
+        cols = [ColumnScore(3 * k + 7, x, -x, x / 7, None if k == 2 else x * 3, k % 3 == 0)
+                for k, x in enumerate(cells)]
+        for columns in (cols, [dataclasses.replace(c, h_reduced=None) for c in cols], []):
+            report = ConservationReport("skip", 0.5, tuple(columns))
+            assert report.to_csv() == oracles.report_csv_ref(report)
 
     def test_wide_alignment_matches_columnwise_scoring(self):
         letters = ["A", "V", "F", "S", "K", "D", "C", "W"]
@@ -443,3 +469,28 @@ def test_traced_memory_per_cell():
     assert len(report.columns) == cols
     assert parse_peak <= 8 * rows * cols, parse_peak / (rows * cols)
     assert score_peak <= 8 * rows * cols, score_peak / (rows * cols)
+
+
+TWELVE_DIGIT_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e12, 999999999999.5, 1e15,
+                      123456789012345.67, 1e16, 0.1, 1 / 3, 2.0 ** 60, 1.7976931348623157e308,
+                      math.inf, -math.inf, math.nan, 0, 7, -12, 10 ** 12, 10 ** 16 + 1, 2 ** 70]
+
+
+class TestFormat12:
+    @given(hst.lists(
+        hst.floats() | hst.floats(1e12, 1e16) | hst.floats(-1e16, -1e12) | hst.integers(-10 ** 20, 10 ** 20)
+        | hst.sampled_from(TWELVE_DIGIT_EDGES), max_size=30))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_fstring(self, values):
+        text = _format12(values)
+        assert text == [f"{x:.12g}" for x in values]
+        for s, x in zip(text, values):
+            # the value read back is the 12-digit value of x; only a
+            # non-finite value prints a letter "n" ("inf", "nan")
+            assert ("n" in s) == (not math.isfinite(x))
+            if math.isfinite(x):
+                assert repr(float(s)) == repr(float(f"{x:.12g}"))
+
+    def test_edges(self):
+        assert _format12(TWELVE_DIGIT_EDGES) == [f"{x:.12g}" for x in TWELVE_DIGIT_EDGES]
+        assert _format12([]) == []

@@ -73,6 +73,8 @@ CASES = {
                   "--out", "{d}/conserve.csv"], ["conserve.csv"]),
     "conserve_stockholm": (["conserve", "--aln", "{d}/aln.sto", "--gap-mode", "extra-letter",
                             "--out", "{d}/conserve.csv"], ["conserve.csv"]),
+    "conserve_skip": (["conserve", "--aln", "{d}/gappy.fasta", "--gap-mode", "skip",
+                       "--out", "{d}/conserve.csv"], ["conserve.csv"]),
     "notions_joint_line": (["notions", "--joint", "{d}/line_joint.json", "--row-structure", "{d}/line_rows.json",
                             "--col-structure", "{d}/line_cols.json"], []),
 }
@@ -115,6 +117,9 @@ def write_inputs(d: str) -> None:
     put("aln.fasta", "".join(f">r{k}\n{seq}\n" for k, seq in enumerate(seqs)))
     blocks = ["".join(f"r{k}  {seq[i:i + 10].lower()}\n" for k, seq in enumerate(seqs)) for i in (0, 10)]
     put("aln.sto", "# STOCKHOLM 1.0\n#=GF ID aln\n\n" + "\n".join(blocks) + "//\n")
+    # skipped gaps: an all-gap column (coverage 0, flagged, every score 0),
+    # coverage 1/3 (flagged) and 2/3 beside full columns
+    put("gappy.fasta", ">r0\nA-AKWCE\n>r1\n--VF-CQ\n>r2\n--AFWDK\n")
     lines = [LinearAlphabet(np.cumsum(rng.uniform(0.05, 0.2, size=12)).tolist()) for _ in range(2)]
     put("line_joint.json", json.dumps({"row_alphabet": list(lines[0].points), "col_alphabet": list(lines[1].points),
                                        "matrix": random_joint_matrix(12, 12, rng).tolist()}))

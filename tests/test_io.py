@@ -286,9 +286,11 @@ class TestNewickScanner:
     @pytest.mark.parametrize("text, expected", [
         ("(a : 0.5 , b:0.5 ) ;", (ParseError, "newick position 5: malformed or non-finite branch length")),
         ("(a: 0.5,b:0.5);", (ParseError, "newick position 4: malformed or non-finite branch length")),
-        ("(a:0.5,b:0.5) x;", (ParseError, "newick position 16: expected ';' at end of tree")),
+        ("(a:0.5,b:0.5) x;", (ParseError, "newick position 15: expected ';' at end of tree")),
         ("(a:0.5,b:0.5); x", (Alphabet(("a", "b")), [(None, 1.0, 2), ("b", 0.0, 0), ("a", 0.0, 0)])),
         ("(a\x0bb:1,c:1);", (Alphabet(("a\x0bb", "c")), [(None, 2.0, 2), ("c", 0.0, 0), ("a\x0bb", 0.0, 0)])),
+        ("(a b:0.5,c:0.5);", (ParseError, "newick position 4: expected ',' or ')', got 'b'")),
+        ("(a:0.5,b:0.5", (ParseError, "newick position 13: expected ',' or ')', got ''")),
     ])
     def test_pinned_cases(self, text, expected):
         assert newick_outcome(parse_newick, text, "arc") == expected
@@ -324,6 +326,19 @@ class TestWritersRefuseUnreadableLetters:
         with pytest.raises(ValidationError) as e:
             distance_to_csv(DistanceMatrix(A, np.ones((3, 3)) - np.eye(3)))
         assert str(e.value) == f"letter {letter!r} cannot be written as a CSV cell"
+
+    @pytest.mark.parametrize("letters, first, second", [
+        ((1, "1", "b"), 1, "1"), (("a", 2.5, "2.5"), 2.5, "2.5"), (("x", True, "y", "True"), True, "True"),
+    ])
+    def test_letters_of_one_text(self, letters, first, second):
+        # the readers give back one string letter per text, so two letters
+        # of one text cannot round trip; the second of them is named
+        A = Alphabet(letters)
+        T = UltrametricTree(A, node(1.0, [leaf(a) for a in letters]))
+        for write in (tree_to_newick, lambda T: distance_to_csv(tree_to_distance(T))):
+            with pytest.raises(ValidationError) as e:
+                write(T)
+            assert str(e.value) == f"letter {second!r} has the text of the earlier letter {first!r}"
 
     @given(hst.lists(LETTER_TEXT, min_size=3, max_size=5, unique=True))
     @settings(max_examples=300, deadline=None)
